@@ -21,6 +21,7 @@ from .matrices import (
     kernel_basis,
     lattice_basis,
     smith_normal_form,
+    solve_matrix,
     solve_matrix_strict,
     solve_vector,
 )
@@ -171,24 +172,51 @@ class LatticeQuotient:
         self.ambient_rank = ambient_rank
         self.basis = basis
         self.relations = relations
-        self._basis_sf = smith_normal_form(basis)
-        if self._basis_sf.rank != basis.cols:
-            raise ValueError("basis columns must be independent")
-        self.rel_in_basis = solve_matrix_strict(basis, relations, self._basis_sf)
-        self.snf: SmithForm = smith_normal_form(self.rel_in_basis)
+        if basis.cols == ambient_rank and basis == IntMatrix.identity(ambient_rank):
+            # P is all of Z^ambient_rank: every vector is its own coordinate vector
+            self._basis_sf = None
+            self.rel_in_basis = relations
+        else:
+            self._basis_sf = smith_normal_form(basis)
+            if self._basis_sf.rank != basis.cols:
+                raise ValueError("basis columns must be independent")
+            self.rel_in_basis = solve_matrix_strict(basis, relations, self._basis_sf)
+        self.snf: SmithForm = smith_normal_form(self.rel_in_basis, cols=False)
         diag = self.snf.diagonal
         k = self.snf.rank
         l = basis.cols
         self._rank_rel = k
+        self._rel_factors = diag[:k]
         self._tor_positions = tuple(i for i in range(k) if diag[i] >= 2)
         self._free_positions = tuple(range(k, l))
         self.group = FinAbGroup(tuple(diag[i] for i in self._tor_positions), l - k)
+
+    def _basis_coords(self, vec):
+        """Coordinates of an ambient vector over ``basis``, or None outside P."""
+        if self._basis_sf is None:
+            vec = tuple(vec)
+            if len(vec) != self.ambient_rank:
+                raise ValueError("right-hand side has the wrong length")
+            return vec
+        return solve_vector(self.basis, vec, self._basis_sf)
+
+    def _class_coords(self, vecs: IntMatrix) -> IntMatrix:
+        """u @ (basis coordinates) of every column of vecs, which must lie in P."""
+        if self._basis_sf is not None:
+            vecs = solve_matrix(self.basis, vecs, self._basis_sf)
+            if vecs is None:
+                raise MembershipError("vector is not in the presented sublattice")
+        return self.snf.u @ vecs
+
+    def _is_zero_class(self, w) -> bool:
+        """Whether a column of ``_class_coords`` is the zero class."""
+        return all(x % d == 0 for x, d in zip(w, self._rel_factors)) and not any(w[self._rank_rel :])
 
     # -- class arithmetic ------------------------------------------------
 
     def project(self, vec) -> AbElement:
         """Class of an ambient vector; the vector must lie in P."""
-        x = solve_vector(self.basis, vec, self._basis_sf)
+        x = self._basis_coords(vec)
         if x is None:
             raise MembershipError("vector is not in the presented sublattice")
         w = self.snf.u.mul_vec(x)
@@ -210,7 +238,7 @@ class LatticeQuotient:
         return self.basis.mul_vec(z)
 
     def contains_vector(self, vec) -> bool:
-        return solve_vector(self.basis, vec, self._basis_sf) is not None
+        return self._basis_coords(vec) is not None
 
     def generator_vectors(self) -> list[tuple[int, ...]]:
         """One lattice representative per normal-form coordinate."""
@@ -277,13 +305,12 @@ class InducedMap:
         self.target = target
         self.matrix = matrix
         if check:
-            moved = matrix @ source.basis
-            for j in range(moved.cols):
-                target.project(moved.column(j))
-            killed = matrix @ source.relations
-            for j in range(killed.cols):
-                if not target.project(killed.column(j)).is_zero():
-                    raise ValueError("map does not send relations to relations")
+            # one batched solve: basis images must lie in P_tgt (MembershipError
+            # otherwise), relation images must be zero classes
+            both = hstack([source.basis, source.relations], rows=source.ambient_rank)
+            w = target._class_coords(matrix @ both).transpose().entries
+            if not all(map(target._is_zero_class, w[source.basis.cols :])):
+                raise ValueError("map does not send relations to relations")
 
     def apply(self, x: AbElement) -> AbElement:
         return self.target.project(self.matrix.mul_vec(self.source.lift(x)))
@@ -306,7 +333,7 @@ class InducedMap:
 
     def is_identity_on(self, quotient: LatticeQuotient) -> bool:
         """True when source == target == quotient and the map fixes every generator."""
-        if self.source is not quotient or self.target is not quotient:
+        if not (_same_presentation(self.source, quotient) and _same_presentation(self.target, quotient)):
             return False
         for vec in quotient.generator_vectors():
             if self.apply(quotient.project(vec)) != quotient.project(vec):
@@ -315,9 +342,14 @@ class InducedMap:
 
     @staticmethod
     def compose(outer: "InducedMap", inner: "InducedMap", check: bool = False) -> "InducedMap":
-        if outer.source is not inner.target:
+        if not _same_presentation(outer.source, inner.target):
             raise ValueError("maps do not compose")
         return InducedMap(inner.source, outer.target, outer.matrix @ inner.matrix, check=check)
+
+
+def _same_presentation(a: LatticeQuotient, b: LatticeQuotient) -> bool:
+    """Whether two quotients present the same group the same way."""
+    return a.ambient_rank == b.ambient_rank and a.basis == b.basis and a.relations == b.relations
 
 
 def identity_map(q: LatticeQuotient) -> InducedMap:

@@ -5,7 +5,7 @@ runs the corresponding library operation, and prints a canonical report:
 sorted keys, integers as decimal strings, a sha256 digest of the canonical
 input, the package version, and the list of operations the derivation went
 through.  ``run`` executes a job object ``{"op": ..., "input": ...}`` and
-``run --batch`` a whole file of them concurrently.
+``run --batch`` a whole file of them, one after another in file order.
 
 Exit codes: 0 on success, 1 when the input is outside an operation's domain
 (including parse and schema problems), 2 when a certified statement fails
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__, serial
@@ -395,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trace", action="store_true", help="echo derivation steps to stderr")
     runp = sub.add_parser("run", help="execute a job object {op, input}, or a batch of them")
     runp.add_argument("input", nargs="?", help="path to a job JSON, or - for stdin")
-    runp.add_argument("--batch", help="path to a {jobs: [...]} file; jobs run concurrently")
+    runp.add_argument("--batch", help="path to a {jobs: [...]} file; jobs run in order")
     runp.add_argument("--out", help="write the report to this file instead of stdout")
     runp.add_argument("--trace", action="store_true", help="echo derivation steps to stderr")
     return parser
@@ -420,11 +419,7 @@ def _run_batch(path: str, ctx: Context, out: str | None, trace: bool) -> int:
         except TatekitError as exc:
             return {"op": job.op, **_error_body(exc)}, _exit_code(exc)
 
-    if jobs:
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-            outcomes = list(pool.map(run_one, jobs))
-    else:
-        outcomes = []
+    outcomes = [run_one(job) for job in jobs]
     body = {"version": __version__, "reports": [b for b, _ in outcomes]}
     _emit(body, out)
     if trace:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .abgroup import AbElement, InducedMap, LatticeQuotient, cokernel
 from .errors import SubgroupMismatchError
-from .matrices import IntMatrix, hstack, kernel_basis, solve_matrix_strict, vstack
+from .matrices import IntMatrix, hstack, kernel_basis, vstack
 
 __all__ = [
     "FiniteGroup",
@@ -287,8 +287,8 @@ class Subgroup:
     def contains(self, g: int) -> bool:
         return g in self._member_set
 
-    @property
-    def _member_set(self):
+    @cached_property
+    def _member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
     def left_coset_of(self, g: int) -> int:
@@ -344,10 +344,6 @@ def subgroup(parent: FiniteGroup, members) -> Subgroup:
 
 def generated_subgroup(parent: FiniteGroup, gens) -> Subgroup:
     return subgroup(parent, _close(parent, list(gens)))
-
-
-def trivial_subgroup(parent: FiniteGroup) -> Subgroup:
-    return subgroup(parent, [parent.identity])
 
 
 def full_subgroup(parent: FiniteGroup) -> Subgroup:
@@ -625,10 +621,24 @@ def degree_zero_submodule(action: PermAction, coeff: GModule) -> tuple[GModule, 
         if cols
         else IntMatrix.zeros(deg * r, 0)
     )
+    # g(e_(w,i) - e_(last,i)) = sum_j m_ji (e_(gw,j) - e_(g.last,j)), and
+    # e_(p,j) - e_(last,j) is basis vector (p, j); terms at the last point drop
+    last = deg - 1
     mats = []
     for g in big.group.elements():
-        moved = big.action[g] @ basis
-        mats.append(solve_matrix_strict(basis, moved))
+        m = coeff.action[g].entries
+        images = action.images[g]
+        gl = images[last]
+        data = [[0] * sub_rank for _ in range(sub_rank)]
+        for w in range(last):
+            gw = images[w]
+            for j in range(r):
+                mj = m[j]
+                if gw != last:
+                    data[gw * r + j][w * r : (w + 1) * r] = mj
+                if gl != last:
+                    data[gl * r + j][w * r : (w + 1) * r] = [-x for x in mj]
+        mats.append(IntMatrix(sub_rank, sub_rank, tuple(map(tuple, data))))
     sub = GModule(big.group, sub_rank, tuple(mats))
     return sub, basis, big
 

@@ -224,9 +224,6 @@ class ResidueField:
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(self._pad(a), self._pad(b)))
 
-    def neg(self, a):
-        return tuple(-x % self.p for x in self._pad(a))
-
     def mul(self, a, b):
         return self._pad(_poly_mul(self._pad(a), self._pad(b), self.p))
 

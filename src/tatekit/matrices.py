@@ -9,7 +9,9 @@ entry dividing the next.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import MembershipError
 
@@ -53,16 +55,11 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @staticmethod
-    def column_vector(vec) -> "IntMatrix":
-        vec = tuple(int(x) for x in vec)
-        return IntMatrix(len(vec), 1, tuple((x,) for x in vec))
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
@@ -82,20 +79,30 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        ot = other.transpose().entries
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-            for row in self.entries
-        )
-        if not data:
-            data = ()
-        return IntMatrix(self.rows, other.cols, data)
+        # row i of the product sums a * (row k of other) over the nonzero
+        # entries a of row i: the action matrices, bases and transforms
+        # multiplied here are mostly zeros and units
+        add, sub, mul = operator.add, operator.sub, operator.mul
+        zero = (0,) * other.cols
+        data = []
+        for row in self.entries:
+            acc = zero
+            for a, brow in zip(row, other.entries):
+                if a == 1:
+                    acc = list(map(add, acc, brow))
+                elif a == -1:
+                    acc = list(map(sub, acc, brow))
+                elif a:
+                    acc = list(map(add, acc, map(mul, repeat(a), brow)))
+            data.append(tuple(acc))
+        return IntMatrix(self.rows, other.cols, tuple(data))
 
     def mul_vec(self, vec) -> tuple[int, ...]:
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise ValueError("vector length does not match columns")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        mul = operator.mul
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
@@ -200,7 +207,8 @@ class SmithForm:
 
     The inverses of the transforms are tracked during elimination so that
     lattice computations (saturation, lifts) never need a separate matrix
-    inversion step.
+    inversion step.  A form computed with ``cols=False`` carries the row
+    transforms only; its ``v`` and ``v_inv`` are empty 0 x 0 matrices.
     """
 
     u: IntMatrix
@@ -219,77 +227,81 @@ class SmithForm:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def smith_normal_form(a: IntMatrix) -> SmithForm:
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def smith_normal_form(a: IntMatrix, *, cols: bool = True) -> SmithForm:
     """Smith normal form over the integers.
 
     Returns u, s, v, u_inv, v_inv with u @ a @ v == s, s diagonal with
     nonnegative entries d1 | d2 | ... and trailing zeros.  Total on every
-    input shape including empty matrices.
+    input shape including empty matrices.  With cols=False the column
+    transforms are not tracked (lattice quotients need only u and u_inv);
+    the elimination, and so s, u and u_inv, are the same either way.
     """
     m, n = a.rows, a.cols
     s = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = _identity_rows(m)
+    # u_inv and v are kept transposed, so their column operations are row
+    # operations on these lists
+    uinv_t = _identity_rows(m)
+    v_t = _identity_rows(n) if cols else None
+    vinv = _identity_rows(n) if cols else None
 
     def swap_rows(i, j):
         if i == j:
             return
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
-        for row in uinv:
-            row[i], row[j] = row[j], row[i]
+        uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
 
     def swap_cols(i, j):
         if i == j:
             return
         for row in s:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+        if cols:
+            v_t[i], v_t[j] = v_t[j], v_t[i]
+            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(i, j, q):
         # row_i += q * row_j
-        si, sj = s[i], s[j]
-        for t in range(n):
-            si[t] += q * sj[t]
-        ui, uj = u[i], u[j]
-        for t in range(m):
-            ui[t] += q * uj[t]
-        for row in uinv:
-            row[j] -= q * row[i]
+        s[i] = [x + q * y for x, y in zip(s[i], s[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        uinv_t[j] = [x - q * y for x, y in zip(uinv_t[j], uinv_t[i])]
 
     def add_col(j, i, q):
-        # col_j += q * col_i
-        for row in s:
-            row[j] += q * row[i]
-        for row in v:
-            row[j] += q * row[i]
-        vj, vi = vinv[j], vinv[i]
-        for t in range(n):
-            vi[t] -= q * vj[t]
+        # col_j += q * col_i; only ever called with column i of s zero off
+        # row i, so in s the update touches row i alone
+        s[i][j] += q * s[i][i]
+        if cols:
+            v_t[j] = [x + q * y for x, y in zip(v_t[j], v_t[i])]
+            vinv[i] = [x - q * y for x, y in zip(vinv[i], vinv[j])]
 
     def negate_row(i):
         s[i] = [-x for x in s[i]]
         u[i] = [-x for x in u[i]]
-        for row in uinv:
-            row[i] = -row[i]
+        uinv_t[i] = [-x for x in uinv_t[i]]
 
     def find_pivot(t):
+        # smallest |entry| in the trailing block, first in row-major order;
+        # no entry beats a unit, so the scan stops at the first one
         best = None
+        best_abs = 0
         for i in range(t, m):
             row = s[i]
             for j in range(t, n):
                 x = row[j]
-                if x != 0:
-                    key = (abs(x), i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            return None
-        return best[1], best[2]
+                if x and (best is None or abs(x) < best_abs):
+                    best = (i, j)
+                    best_abs = abs(x)
+                    if best_abs == 1:
+                        return best
+        return best
 
     t = 0
     bound = min(m, n)
@@ -330,14 +342,15 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
         # is pulled into row t and reduced on the next pass
         d = s[t][t]
         offender = None
-        for i in range(t + 1, m):
-            row = s[i]
-            for j in range(t + 1, n):
-                if row[j] % d != 0:
-                    offender = i
+        if abs(d) != 1:  # a unit divides everything
+            for i in range(t + 1, m):
+                row = s[i]
+                for j in range(t + 1, n):
+                    if row[j] % d != 0:
+                        offender = i
+                        break
+                if offender is not None:
                     break
-            if offender is not None:
-                break
         if offender is not None:
             add_row(t, offender, 1)
             continue
@@ -347,12 +360,13 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
         if s[i][i] < 0:
             negate_row(i)
 
+    skipped = IntMatrix.zeros(0, 0)
     return SmithForm(
-        IntMatrix.from_rows(u) if m else IntMatrix.zeros(0, 0),
-        IntMatrix(m, n, tuple(tuple(row) for row in s)),
-        IntMatrix.from_rows(v) if n else IntMatrix.zeros(0, 0),
-        IntMatrix.from_rows(uinv) if m else IntMatrix.zeros(0, 0),
-        IntMatrix.from_rows(vinv) if n else IntMatrix.zeros(0, 0),
+        IntMatrix(m, m, tuple(map(tuple, u))),
+        IntMatrix(m, n, tuple(map(tuple, s))),
+        IntMatrix(n, n, tuple(zip(*v_t))) if cols else skipped,
+        IntMatrix(m, m, tuple(zip(*uinv_t))),
+        IntMatrix(n, n, tuple(map(tuple, vinv))) if cols else skipped,
     )
 
 
@@ -360,10 +374,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis (as columns) of the integer kernel { x : a @ x == 0 }."""
     sf = smith_normal_form(a)
     k = sf.rank
-    cols = [sf.v.column(j) for j in range(k, a.cols)]
-    if not cols:
-        return IntMatrix.zeros(a.cols, 0)
-    return IntMatrix(a.cols, len(cols), tuple(tuple(c[i] for c in cols) for i in range(a.cols)))
+    return IntMatrix(a.cols, a.cols - k, tuple(row[k:] for row in sf.v.entries))
 
 
 def solve_vector(a: IntMatrix, y, sf: SmithForm | None = None):
@@ -388,18 +399,27 @@ def solve_vector(a: IntMatrix, y, sf: SmithForm | None = None):
 
 
 def solve_matrix(a: IntMatrix, y: IntMatrix, sf: SmithForm | None = None):
-    """Integral X with a @ X == y, or None when some column is insolvable."""
+    """Integral X with a @ X == y, or None when some column is insolvable.
+
+    All columns are solved at once: X = v @ Z with Z = (u @ y) divided row
+    by row by the invariant factors, which is the column-by-column
+    ``solve_vector`` result.
+    """
+    if y.rows != a.rows:
+        raise ValueError("right-hand side has the wrong number of rows")
     if sf is None:
         sf = smith_normal_form(a)
-    cols = []
-    for j in range(y.cols):
-        x = solve_vector(a, y.column(j), sf)
-        if x is None:
+    w = (sf.u @ y).entries
+    k = sf.rank
+    z = []
+    for d, row in zip(sf.diagonal[:k], w):
+        if any(x % d for x in row):
             return None
-        cols.append(x)
-    if not cols:
-        return IntMatrix.zeros(a.cols, 0)
-    return IntMatrix(a.cols, len(cols), tuple(tuple(c[i] for c in cols) for i in range(a.cols)))
+        z.append(tuple(x // d for x in row))
+    if any(any(row) for row in w[k:]):
+        return None
+    z.extend(repeat((0,) * y.cols, a.cols - k))
+    return sf.v @ IntMatrix(a.cols, y.cols, tuple(z))
 
 
 def solve_matrix_strict(a: IntMatrix, y: IntMatrix, sf: SmithForm | None = None) -> IntMatrix:
@@ -410,14 +430,13 @@ def solve_matrix_strict(a: IntMatrix, y: IntMatrix, sf: SmithForm | None = None)
 
 
 def lattice_basis(generators: IntMatrix) -> IntMatrix:
-    """Independent basis (as columns) of the lattice the columns generate."""
-    sf = smith_normal_form(generators)
-    k = sf.rank
-    r = generators.rows
-    cols = []
-    for i in range(k):
-        d = sf.s.entries[i][i]
-        cols.append(tuple(d * sf.u_inv.entries[t][i] for t in range(r)))
-    if not cols:
-        return IntMatrix.zeros(r, 0)
-    return IntMatrix(r, k, tuple(tuple(c[t] for c in cols) for t in range(r)))
+    """Independent basis (as columns) of the lattice the columns generate.
+
+    Column i is d_i times column i of u_inv, for each nonzero invariant
+    factor d_i.
+    """
+    sf = smith_normal_form(generators, cols=False)
+    diag = sf.diagonal[: sf.rank]
+    return IntMatrix(
+        generators.rows, len(diag), tuple(tuple(map(operator.mul, diag, row)) for row in sf.u_inv.entries)
+    )

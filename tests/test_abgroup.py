@@ -116,6 +116,64 @@ def test_compose():
     assert quad(x) == q.group.element((4,))
 
 
+def test_compose_through_equal_quotients_built_apart():
+    def z_mod(n):
+        return cokernel(IntMatrix.from_rows([[n]]))
+
+    # 3 * 3 = 9 = 1 mod 8; every quotient below is a separately built Z/8
+    triple = InducedMap(z_mod(8), z_mod(8), IntMatrix.from_rows([[3]]))
+    back = InducedMap(z_mod(8), z_mod(8), IntMatrix.from_rows([[3]]))
+    assert InducedMap.compose(back, triple).is_identity_on(z_mod(8))
+    assert not triple.is_identity_on(z_mod(8))
+    with pytest.raises(ValueError):
+        InducedMap.compose(back, InducedMap(z_mod(8), z_mod(4), IntMatrix.from_rows([[1]])))
+
+
+def test_induced_map_rejects_basis_images_outside_target_lattice():
+    z4 = cokernel(IntMatrix.from_rows([[4]]))
+    evens = LatticeQuotient(1, IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[8]]))  # 2Z / 8Z
+    with pytest.raises(MembershipError):
+        InducedMap(z4, evens, IntMatrix.from_rows([[1]]))
+    doubling = InducedMap(z4, evens, IntMatrix.from_rows([[2]]))
+    assert doubling(z4.group.element((1,))) == evens.group.element((1,))
+
+
+small = st.integers(min_value=-6, max_value=6)
+
+
+@given(st.data())
+def test_identity_basis_quotient_agrees_with_general_path(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(0, 4))
+    rel = IntMatrix.from_rows(data.draw(st.lists(st.lists(small, min_size=m, max_size=m), min_size=n, max_size=n)))
+    # a triangular basis of Z^n with diagonal -1, 1, ..., 1 is never the
+    # identity, so the same quotient Z^n / span(rel) takes the general path
+    above = data.draw(st.lists(small, min_size=n * n, max_size=n * n))
+    unimodular = IntMatrix.from_rows(
+        [[(-1 if i == 0 else 1) if i == j else (above[i * n + j] if j > i else 0) for j in range(n)] for i in range(n)]
+    )
+    fast = cokernel(rel)
+    general = LatticeQuotient(n, unimodular, rel)
+    assert fast.rel_in_basis == rel
+    assert fast.group == general.group
+    same = InducedMap(fast, general, IntMatrix.identity(n))
+    assert same.kernel().group.is_trivial
+    assert InducedMap(general, fast, IntMatrix.identity(n)).kernel().group.is_trivial
+    for v in data.draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=1, max_size=4)):
+        assert general.project(v) == same(fast.project(v))
+        assert fast.contains_vector(v) and general.contains_vector(v)
+    k = fast.group.ncoords
+    for i in range(k):
+        x = fast.group.element(tuple(int(i == j) for j in range(k)))
+        assert fast.project(fast.lift(x)) == x
+        assert general.project(fast.lift(x)) == same(x)
+    for q in (fast, general):
+        with pytest.raises(ValueError):
+            q.project((0,) * (n + 1))
+        with pytest.raises(ValueError):
+            q.contains_vector((0,) * (n + 1))
+
+
 def test_direct_sum_quotients():
     a = cokernel(IntMatrix.from_rows([[2]]))
     b = cokernel(IntMatrix.from_rows([[3]]))

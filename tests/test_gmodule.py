@@ -9,6 +9,8 @@ from tatekit.gmodule import (
     coinvariants,
     coset_action,
     cyclic,
+    degree_zero_submodule,
+    disjoint_union_action,
     dihedral,
     finite_group,
     from_permutations,
@@ -162,6 +164,21 @@ def test_coset_action_is_transitive(corpus):
         act = coset_action(g, h)
         assert act.degree == h.index
         assert act.orbits() == [tuple(range(act.degree))]
+
+
+def test_degree_zero_action_intertwines_with_basis(corpus):
+    for name, g in corpus.items():
+        coeffs = [trivial_module(g, 1)]
+        if g.order <= 8:
+            coeffs.append(augmentation_kernel_module(g))
+        gens = g.generating_set()
+        subs = [subgroup(g, [g.identity]), generated_subgroup(g, gens[:1])]
+        action = disjoint_union_action([coset_action(g, h) for h in subs])
+        for coeff in coeffs:
+            sub, basis, big = degree_zero_submodule(action, coeff)
+            assert basis.cols == sub.rank == (action.degree - 1) * coeff.rank
+            for e in g.elements():
+                assert basis @ sub.action[e] == big.action[e] @ basis, (name, e)
 
 
 # -- module construction ---------------------------------------------------

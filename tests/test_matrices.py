@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from tatekit.errors import MembershipError
 from tatekit.matrices import (
     block_diagonal,
     hstack,
+    solve_matrix,
     solve_matrix_strict,
     solve_vector,
     vstack,
@@ -124,3 +126,62 @@ def test_det_matches_snf_product():
     for d in sf.diagonal:
         prod *= d
     assert abs(a.det()) == prod
+
+
+@given(matrices(12))
+def test_snf_without_column_transforms_matches_full(a):
+    full = smith_normal_form(a)
+    rows_only = smith_normal_form(a, cols=False)
+    assert (rows_only.s, rows_only.u, rows_only.u_inv) == (full.s, full.u, full.u_inv)
+    assert rows_only.v == rows_only.v_inv == IntMatrix.zeros(0, 0)
+
+
+def _solve_by_columns(a, y):
+    cols = [solve_vector(a, c) for c in y.columns()]
+    if any(c is None for c in cols):
+        return None
+    return IntMatrix(a.cols, y.cols, tuple(zip(*cols)))
+
+
+@given(st.data())
+def test_batched_solve_matches_column_solves(data):
+    a = data.draw(matrices(5))
+    x = data.draw(st.lists(st.lists(entries, min_size=3, max_size=3), min_size=a.cols, max_size=a.cols))
+    y = a @ IntMatrix.from_rows(x)
+    # an arbitrary extra column is often outside the column span
+    extra = data.draw(st.lists(entries, min_size=a.rows, max_size=a.rows))
+    for rhs in (y, hstack([y, IntMatrix.from_rows([[e] for e in extra])])):
+        expected = _solve_by_columns(a, rhs)
+        assert solve_matrix(a, rhs) == expected
+        if expected is not None:
+            assert a @ expected == rhs
+    assert solve_matrix(a, IntMatrix.zeros(a.rows, 0)) == IntMatrix.zeros(a.cols, 0)
+
+
+def test_batched_solve_rejects_wrong_row_count():
+    with pytest.raises(ValueError):
+        solve_matrix(IntMatrix.identity(2), IntMatrix.zeros(3, 1))
+
+
+def _determinantal_divisors(a):
+    """D_k = gcd of all k x k minors, by Bareiss determinants only."""
+    out = []
+    for k in range(1, min(a.rows, a.cols) + 1):
+        g = 0
+        for rows in itertools.combinations(range(a.rows), k):
+            for cols in itertools.combinations(range(a.cols), k):
+                minor = IntMatrix.from_rows([[a.entry(i, j) for j in cols] for i in rows])
+                g = math.gcd(g, minor.det())
+        out.append(g)
+    return out
+
+
+@given(matrices(6))
+def test_snf_diagonal_matches_determinantal_divisors(a):
+    # d_k = D_k / D_(k-1) while D_k != 0, and d_k = 0 once the minors vanish
+    expected = []
+    prev = 1
+    for dk in _determinantal_divisors(a):
+        expected.append(dk // prev if dk else 0)
+        prev = dk or prev
+    assert list(smith_normal_form(a).diagonal) == expected
