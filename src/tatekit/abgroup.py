@@ -17,6 +17,7 @@ from .errors import MembershipError
 from .matrices import (
     IntMatrix,
     SmithForm,
+    block_diagonal,
     hstack,
     kernel_basis,
     lattice_basis,
@@ -257,12 +258,7 @@ class LatticeQuotient:
     def torsion(self) -> "LatticeQuotient":
         """Torsion subgroup, presented on the saturation of the relations."""
         k = self._rank_rel
-        l = self.basis.cols
-        cols = [self.snf.u_inv.column(i) for i in range(k)]
-        if cols:
-            sat = IntMatrix(l, k, tuple(tuple(c[i] for c in cols) for i in range(l)))
-        else:
-            sat = IntMatrix.zeros(l, 0)
+        sat = IntMatrix(self.basis.cols, k, tuple(row[:k] for row in self.snf.u_inv.entries))
         return LatticeQuotient(self.ambient_rank, self.basis @ sat, self.relations)
 
 
@@ -277,16 +273,10 @@ def torsion_subgroup(q: LatticeQuotient) -> LatticeQuotient:
 
 def direct_sum_quotients(quotients) -> LatticeQuotient:
     """Block direct sum; ambient spaces are concatenated in order."""
-    from .matrices import block_diagonal
-
     quotients = list(quotients)
     amb = sum(q.ambient_rank for q in quotients)
     basis = block_diagonal([q.basis for q in quotients])
     rel = block_diagonal([q.relations for q in quotients])
-    if basis.rows != amb:
-        basis = IntMatrix.zeros(amb, basis.cols)
-    if rel.rows != amb:
-        rel = IntMatrix.zeros(amb, rel.cols)
     return LatticeQuotient(amb, basis, rel)
 
 

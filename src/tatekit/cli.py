@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import __version__, serial
 from .errors import DomainError, SchemaError, TatekitError, TheoremViolationError
-from .gmodule import coinvariants, restrict_module, transfer
+from .gmodule import coinvariants, tate_h0, tate_h_minus1, transfer
 from .local import (
     TameExtDescriptor,
     quadratic_subextension_with_trace,
@@ -31,7 +31,6 @@ from .local import (
 from .matrices import smith_normal_form
 from .periodindex import verify_counterexample_local
 from .sha import sha1_S, sha1_shapiro, tate_obstruction
-from .gmodule import tate_h0, tate_h_minus1
 from .tower import degree_exponents, simulate_splitting_tower, subgroup_bound_check
 
 DEFAULT_PRECISION = 8

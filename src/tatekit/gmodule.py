@@ -2,9 +2,9 @@
 
 A module is a finite group together with one unimodular integer matrix per
 element; the action map is verified to be a homomorphism at construction.
-Coinvariants, invariants, the norm map, its kernel on coinvariant classes,
-and transfer maps to subgroups are all computed exactly through the lattice
-presentations in :mod:`tatekit.abgroup`.
+Coinvariants and their torsion part M_{G,Tors}, invariants, the norm map,
+its kernel on coinvariant classes, and transfer maps to subgroups are all
+computed exactly through the lattice presentations in :mod:`tatekit.abgroup`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 from .abgroup import AbElement, InducedMap, LatticeQuotient, cokernel
 from .errors import SubgroupMismatchError
-from .matrices import IntMatrix, hstack, kernel_basis, vstack
+from .matrices import IntMatrix, block_diagonal, hstack, kernel_basis, vstack
 
 __all__ = [
     "FiniteGroup",
@@ -42,6 +42,7 @@ __all__ = [
     "pullback_module",
     "direct_sum_modules",
     "coinvariants",
+    "torsion_coinvariants",
     "invariants",
     "norm_matrix",
     "norm_induced_map",
@@ -110,6 +111,11 @@ class FiniteGroup:
             if len(closure) == self.order:
                 break
         return tuple(gens)
+
+    def conjugate(self, g: int, members) -> frozenset[int]:
+        """The conjugate set g * members * g^-1."""
+        gi = self.inv(g)
+        return frozenset(self.mul(self.mul(g, h), gi) for h in members)
 
 
 def _close(group: FiniteGroup, gens) -> set[int]:
@@ -307,13 +313,9 @@ class Subgroup:
         inv = tuple(pos[self.parent.inv(g)] for g in self.members)
         return FiniteGroup(len(self.members), table, pos[self.parent.identity], inv), self.members
 
-    def conjugate(self, g: int) -> "Subgroup":
-        p = self.parent
-        members = sorted(p.mul(p.mul(g, h), p.inv(g)) for h in self.members)
-        return subgroup(p, members)
-
     def is_normal(self) -> bool:
-        return all(self.conjugate(g).members == self.members for g in self.parent.elements())
+        p = self.parent
+        return all(p.conjugate(g, self.members) == self._member_set for g in p.elements())
 
 
 def subgroup(parent: FiniteGroup, members) -> Subgroup:
@@ -556,8 +558,6 @@ def pullback_module(module: GModule, group: FiniteGroup, hom) -> GModule:
 
 
 def direct_sum_modules(modules) -> GModule:
-    from .matrices import block_diagonal
-
     modules = list(modules)
     g = modules[0].group
     if any(m.group != g for m in modules):
@@ -565,9 +565,6 @@ def direct_sum_modules(modules) -> GModule:
     rank = sum(m.rank for m in modules)
     action = tuple(
         block_diagonal([m.action[e] for m in modules]) for e in g.elements()
-    )
-    action = tuple(
-        a if a.rows == rank else IntMatrix.zeros(rank, rank) for a in action
     )
     return GModule(g, rank, action)
 
@@ -591,7 +588,7 @@ def permutation_module(action: PermAction, coeff: GModule) -> GModule:
             for i in range(r):
                 for j in range(r):
                     data[gw * r + j][w * r + i] = m.entries[j][i]
-        mats.append(IntMatrix.from_rows(data) if n else IntMatrix.zeros(0, 0))
+        mats.append(IntMatrix(n, n, tuple(map(tuple, data))))
     return GModule(coeff.group, n, tuple(mats))
 
 
@@ -616,11 +613,7 @@ def degree_zero_submodule(action: PermAction, coeff: GModule) -> tuple[GModule, 
             col[w * r + i] = 1
             col[(deg - 1) * r + i] = -1
             cols.append(col)
-    basis = (
-        IntMatrix(deg * r, sub_rank, tuple(tuple(c[t] for c in cols) for t in range(deg * r)))
-        if cols
-        else IntMatrix.zeros(deg * r, 0)
-    )
+    basis = IntMatrix(deg * r, sub_rank, tuple(tuple(c[t] for c in cols) for t in range(deg * r)))
     # g(e_(w,i) - e_(last,i)) = sum_j m_ji (e_(gw,j) - e_(g.last,j)), and
     # e_(p,j) - e_(last,j) is basis vector (p, j); terms at the last point drop
     last = deg - 1
@@ -653,6 +646,12 @@ def coinvariants(module: GModule) -> LatticeQuotient:
     blocks = [module.action[g] - IntMatrix.identity(r) for g in module.group.elements()]
     relations = hstack(blocks, rows=r)
     return cokernel(relations)
+
+
+@lru_cache(maxsize=256)
+def torsion_coinvariants(module: GModule) -> LatticeQuotient:
+    """M_{G,Tors}, the torsion part of the coinvariants."""
+    return coinvariants(module).torsion()
 
 
 def invariants(module: GModule) -> IntMatrix:

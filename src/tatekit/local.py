@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import gcd
 
 from .errors import (
     BadResidueError,

@@ -198,7 +198,7 @@ def block_diagonal(mats) -> IntMatrix:
             data[r0 + i][c0 : c0 + m.cols] = row
         r0 += m.rows
         c0 += m.cols
-    return IntMatrix.from_rows(data) if data else IntMatrix.zeros(0, total_c)
+    return IntMatrix(total_r, total_c, tuple(map(tuple, data)))
 
 
 @dataclass(frozen=True)

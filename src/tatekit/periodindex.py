@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abgroup import AbElement, LatticeQuotient, element_order
+from .abgroup import AbElement, element_order
 from .errors import BadResidueError, TheoremViolationError
 from .gmodule import (
     GModule,
@@ -24,6 +24,7 @@ from .gmodule import (
     module_from_generators,
     restrict_module,
     subgroup,
+    torsion_coinvariants,
     transfer,
     transfer_matrix,
 )
@@ -52,11 +53,9 @@ QUADRATIC_LAYER_RULE = (
 )
 
 
-@lru_cache(maxsize=256)
-def h1_local(module: GModule) -> LatticeQuotient:
-    """Torsion part of the coinvariants; the local cohomology of the torus
-    whose cocharacter lattice is the given module."""
-    return coinvariants(module).torsion()
+#: The local cohomology of the torus whose cocharacter lattice is the given
+#: module: the torsion part of its coinvariants.
+h1_local = torsion_coinvariants
 
 
 @dataclass(frozen=True)

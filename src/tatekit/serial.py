@@ -89,9 +89,7 @@ def load_matrix(obj, where: str) -> IntMatrix:
         elif len(row) != width:
             raise SchemaError(f"{where}[{i}]: ragged row")
         parsed.append([parse_int(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
-    if not parsed:
-        return IntMatrix.zeros(0, 0)
-    return IntMatrix.from_rows(parsed)
+    return IntMatrix(len(parsed), width or 0, tuple(map(tuple, parsed)))
 
 
 def load_group(obj, where: str = "group") -> FiniteGroup:

@@ -33,6 +33,7 @@ from .gmodule import (
     disjoint_union_action,
     quotient_group,
     restrict_module,
+    torsion_coinvariants,
 )
 from .matrices import IntMatrix, solve_matrix_strict, vstack
 
@@ -136,10 +137,6 @@ class ShaResult:
         return size
 
 
-def _degree_zero_torsion(pm: PlaceModule) -> LatticeQuotient:
-    return coinvariants(pm.sub).torsion()
-
-
 def sha1_S(data: GlobalData) -> ShaResult:
     """Kernel of (M[S]_0)_{Theta,Tors} -> M[S]_{Theta,Tors} via the inclusion.
 
@@ -147,7 +144,7 @@ def sha1_S(data: GlobalData) -> ShaResult:
     in the torsion part exactly when it dies there.
     """
     pm = build_place_module(data)
-    domain = _degree_zero_torsion(pm)
+    domain = torsion_coinvariants(pm.sub)
     inclusion = InducedMap(domain, coinvariants(pm.big), pm.basis)
     ker = inclusion.kernel()
     return ShaResult(
@@ -172,14 +169,13 @@ def _shapiro_matrix(pm: PlaceModule, label: str) -> IntMatrix:
         for i in range(r):
             for j in range(r):
                 rows[i][w * r + j] = block.entries[i][j]
-    onto_m = IntMatrix.from_rows(rows) if r else IntMatrix.zeros(0, n_big)
-    return onto_m @ pm.basis
+    return IntMatrix(r, n_big, tuple(map(tuple, rows))) @ pm.basis
 
 
 def local_torsion_quotient(data: GlobalData, label: str) -> LatticeQuotient:
     """M_{Theta_v,Tors} for the decomposition group at the labeled place."""
     place = data.place(label)
-    return coinvariants(restrict_module(data.module, place.decomposition)).torsion()
+    return torsion_coinvariants(restrict_module(data.module, place.decomposition))
 
 
 def sha1_shapiro(data: GlobalData) -> ShaResult:
@@ -190,7 +186,7 @@ def sha1_shapiro(data: GlobalData) -> ShaResult:
     over places is returned.
     """
     pm = build_place_module(data)
-    domain = _degree_zero_torsion(pm)
+    domain = torsion_coinvariants(pm.sub)
     if not data.places:
         target = coinvariants(pm.big)
         ker = InducedMap(domain, target, pm.basis).kernel()
@@ -235,7 +231,7 @@ def tate_obstruction(data: GlobalData, local_classes) -> GlobalClassResult:
     vanishes; the nonzero sum is the obstruction.  Unlisted places are taken
     to carry the zero class.
     """
-    tors_theta = coinvariants(data.module).torsion()
+    tors_theta = torsion_coinvariants(data.module)
     total = tors_theta.group.zero()
     contributions = []
     echo = []
@@ -345,19 +341,13 @@ def lemma_pushforward(
     for w in range(action_e.degree):
         for i in range(r):
             collapse[orbit_of[w] * r + i][w * r + i] = 1
-    collapse_m = (
-        IntMatrix.from_rows(collapse) if big_f.rank and big_e.rank
-        else IntMatrix.zeros(big_f.rank, big_e.rank)
-    )
+    collapse_m = IntMatrix(big_f.rank, big_e.rank, tuple(map(tuple, collapse)))
     section_pts = orbit_reps  # one chosen preimage per orbit
     sect = [[0] * big_f.rank for _ in range(big_e.rank)]
     for o, w in enumerate(section_pts):
         for i in range(r):
             sect[w * r + i][o * r + i] = 1
-    sect_m = (
-        IntMatrix.from_rows(sect) if big_e.rank and big_f.rank
-        else IntMatrix.zeros(big_e.rank, big_f.rank)
-    )
+    sect_m = IntMatrix(big_e.rank, big_f.rank, tuple(map(tuple, sect)))
 
     beta_deg0 = solve_matrix_strict(basis_f, collapse_m @ basis_e)
     sect_deg0 = solve_matrix_strict(basis_e, sect_m @ basis_f)

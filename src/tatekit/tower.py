@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .abgroup import AbElement, InducedMap, LatticeQuotient
+from .abgroup import AbElement, InducedMap
 from .errors import (
     BoundViolationError,
     DomainError,
@@ -29,12 +29,14 @@ from .errors import (
 from .gmodule import (
     FiniteGroup,
     Subgroup,
+    _close,
     coinvariants,
     cyclic,
     direct_product,
     pullback_module,
     restrict_module,
     subgroup,
+    torsion_coinvariants,
 )
 from .matrices import IntMatrix, solve_matrix_strict
 from .sha import GlobalData, PlaceDatum, PlaceModule, build_place_module, sha1_S
@@ -62,21 +64,6 @@ MAX_ENUM_ORDER = 64
 # -- subgroup enumeration and the counting bound --------------------------
 
 
-def _closure(group: FiniteGroup, members) -> frozenset[int]:
-    seen = set(members)
-    seen.add(group.identity)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(seen):
-            for b in list(seen):
-                c = group.mul(a, b)
-                if c not in seen:
-                    seen.add(c)
-                    changed = True
-    return frozenset(seen)
-
-
 def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """All subgroups, found by closing one added generator at a time.
 
@@ -96,7 +83,7 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
             for x in group.elements():
                 if x in h:
                     continue
-                bigger = _closure(group, h | {x})
+                bigger = frozenset(_close(group, h | {x}))
                 if bigger not in found:
                     found.add(bigger)
                     nxt.append(bigger)
@@ -154,11 +141,7 @@ def degree_exponents(theta_order: int) -> ExponentTriple:
 
 
 def _conjugacy_class(group: FiniteGroup, members: frozenset) -> frozenset:
-    out = set()
-    for g in group.elements():
-        gi = group.inv(g)
-        out.add(frozenset(group.mul(group.mul(g, h), gi) for h in members))
-    return frozenset(out)
+    return frozenset(group.conjugate(g, members) for g in group.elements())
 
 
 @dataclass
@@ -208,9 +191,7 @@ def select_dominating_places(data: GlobalData) -> PlaceSelection:
         dom = None
         for slab, sh in selected_pairs:
             for g in theta.elements():
-                gi = theta.inv(g)
-                conj = frozenset(theta.mul(theta.mul(g, x), gi) for x in sh)
-                if h <= conj:
+                if h <= theta.conjugate(g, sh):
                     dom = (lab, slab, g)
                     break
             if dom is not None:
@@ -428,9 +409,7 @@ def _point_transport(target_pm: PlaceModule, source_pm: PlaceModule, mapper) -> 
         j = index[mapper(pt)]
         for k in range(r):
             rows[j * r + k][i * r + k] = 1
-    if not rows:
-        return IntMatrix.zeros(0, source_pm.big.rank)
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(target_pm.big.rank, source_pm.big.rank, tuple(map(tuple, rows)))
 
 
 def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
@@ -526,7 +505,7 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
     if not (n * alpha_cls).is_zero():
         raise DomainError("class is not killed by the tower degree")
     pm0 = sha.place_module
-    dom_f = coinvariants(pm_f.sub).torsion()
+    dom_f = torsion_coinvariants(pm_f.sub)
     inc0 = solve_matrix_strict(pm_f.basis, _point_transport(pm_f, pm0, lambda pt: pt) @ pm0.basis)
     alpha_f = dom_f.project(inc0.mul_vec(sha.kernel.lift(alpha_cls)))
 
@@ -539,7 +518,7 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
         label, g = pt
         return (label, data_f.place(label).decomposition.left_coset_of(g // e))
 
-    dom1 = coinvariants(pm_s.sub).torsion()
+    dom1 = torsion_coinvariants(pm_s.sub)
     sect0 = solve_matrix_strict(pm_s.basis, _point_transport(pm_s, pm_f, sect_point) @ pm_f.basis)
     coll0 = solve_matrix_strict(pm_f.basis, _point_transport(pm_f, pm_s, coll_point) @ pm_s.basis)
     sect_map = InducedMap(dom_f, dom1, sect0)

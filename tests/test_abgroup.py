@@ -181,6 +181,23 @@ def test_direct_sum_quotients():
     assert s.group.size() == 6
 
 
+def test_direct_sum_quotients_with_rank_zero_summands():
+    empty = direct_sum_quotients([])
+    assert empty.ambient_rank == 0 and empty.group.is_trivial
+    assert empty.project(()) == empty.zero()
+    zero = cokernel(IntMatrix.zeros(0, 0))
+    zero_rels = cokernel(IntMatrix.zeros(0, 2))  # rank 0, two (empty) relation columns
+    a = cokernel(IntMatrix.from_rows([[2, 0], [0, 0]]))  # Z/2 x Z
+    s = direct_sum_quotients([zero, a, zero_rels])
+    assert (s.ambient_rank, s.relations.cols) == (2, 4)
+    assert s.group == a.group
+    for v in ((1, 3), (4, -1), (0, 0)):
+        assert s.project(v) == a.project(v)
+    t = direct_sum_quotients([a.torsion(), zero, cokernel(IntMatrix.from_rows([[3]]))])
+    assert (t.ambient_rank, t.basis.cols) == (3, 2)
+    assert t.group.invariant_factors == (6,) and t.group.free_rank == 0
+
+
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=2, max_size=2))
 def test_quotient_group_law(v):
     rel = IntMatrix.from_rows([[4, 1], [0, 6]])

@@ -14,6 +14,7 @@ from tatekit.gmodule import (
     dihedral,
     finite_group,
     from_permutations,
+    full_subgroup,
     generated_subgroup,
     gmodule,
     invariants,
@@ -34,6 +35,7 @@ from tatekit.gmodule import (
     PermAction,
 )
 from tatekit.matrices import IntMatrix
+from tatekit.tower import enumerate_subgroups
 
 
 # -- group construction ----------------------------------------------------
@@ -141,6 +143,23 @@ def test_quotient_rejects_non_normal_subgroup():
         quotient_group(s3, h)
 
 
+def test_is_normal_matches_the_coset_partition_oracle(corpus):
+    seen = set()
+    for name, g in corpus.items():
+        for h in enumerate_subgroups(g):
+            # H is normal exactly when its left cosets xH are its right cosets Hx
+            left = {frozenset(g.table[x][m] for m in h.members) for x in g.elements()}
+            right = {frozenset(g.table[m][x] for m in h.members) for x in g.elements()}
+            normal = left == right
+            assert h.is_normal() == normal, (name, h.members)
+            seen.add(normal)
+            for x in g.elements():
+                # t lies in x H x^-1 exactly when x^-1 t x lies in H
+                expected = {t for t in g.elements() if g.table[g.table[g.inverses[x]][t]][x] in h.members}
+                assert g.conjugate(x, h.members) == expected, (name, h.members, x)
+    assert seen == {True, False}
+
+
 # -- permutation actions ---------------------------------------------------
 
 
@@ -177,6 +196,27 @@ def test_degree_zero_action_intertwines_with_basis(corpus):
         for coeff in coeffs:
             sub, basis, big = degree_zero_submodule(action, coeff)
             assert basis.cols == sub.rank == (action.degree - 1) * coeff.rank
+            for e in g.elements():
+                assert basis @ sub.action[e] == big.action[e] @ basis, (name, e)
+
+
+def test_degree_zero_submodule_of_one_point_or_rank_zero_coefficients(corpus):
+    for name in ("Z1", "Z2", "V4", "S3"):
+        g = corpus[name]
+        one_point = coset_action(g, full_subgroup(g))
+        regular = coset_action(g, subgroup(g, [g.identity]))
+        cases = [
+            (one_point, trivial_module(g, 2)),
+            (one_point, trivial_module(g, 0)),
+            (regular, trivial_module(g, 0)),
+            (disjoint_union_action([one_point, regular]), trivial_module(g, 0)),
+        ]
+        for action, coeff in cases:
+            sub, basis, big = degree_zero_submodule(action, coeff)
+            assert sub.rank == basis.cols == (action.degree - 1) * coeff.rank == 0
+            assert basis.rows == big.rank == action.degree * coeff.rank
+            assert all(m == IntMatrix.zeros(0, 0) for m in sub.action)
+            assert all((m.rows, m.cols) == (big.rank, big.rank) for m in big.action)
             for e in g.elements():
                 assert basis @ sub.action[e] == big.action[e] @ basis, (name, e)
 

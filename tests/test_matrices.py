@@ -119,6 +119,17 @@ def test_stack_and_block():
     assert blk.det() == 6
 
 
+def test_block_diagonal_of_zero_size_blocks_has_the_summed_shape():
+    wide, tall, empty = IntMatrix.zeros(0, 2), IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 0)
+    five = IntMatrix.from_rows([[5]])
+    for mats in ([], [wide], [tall], [empty], [wide, tall], [tall, empty, wide], [empty, empty]):
+        shape = (sum(m.rows for m in mats), sum(m.cols for m in mats))
+        assert block_diagonal(mats) == IntMatrix.zeros(*shape)
+    # a 0 x 2 block shifts the next block two columns right, a 3 x 0 block adds three rows
+    blk = block_diagonal([wide, five, tall])
+    assert blk == IntMatrix.from_rows([[0, 0, 5], [0, 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
 def test_det_matches_snf_product():
     a = IntMatrix.from_rows([[4, 2, 1], [0, 3, 5], [7, 1, 2]])
     sf = smith_normal_form(a)

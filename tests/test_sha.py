@@ -131,6 +131,22 @@ def test_no_places_means_no_kernel():
     assert sha1_shapiro(data).order == 1
 
 
+def test_rank_zero_module_has_trivial_kernel_both_ways():
+    for g in (cyclic(1), cyclic(2), klein_four(), dihedral(3)):
+        places = (
+            PlaceDatum("v", subgroup(g, [g.identity])),
+            PlaceDatum("u", full_subgroup(g)),
+        )
+        data = GlobalData(g, trivial_module(g, 0), places)
+        a, b = sha1_S(data), sha1_shapiro(data)
+        assert a.group_invariants == b.group_invariants == ()
+        assert a.order == b.order == 1
+        assert a.generators == b.generators == ()
+        assert a.domain.group.is_trivial and b.domain.group.is_trivial
+        assert local_torsion_quotient(data, "v").group.is_trivial
+        assert tate_obstruction(data, {"u": ()}).exists
+
+
 @given(st.data())
 def test_both_descriptions_agree(data):
     groups = {
