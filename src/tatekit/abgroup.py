@@ -331,10 +331,10 @@ class InducedMap:
         return True
 
     @staticmethod
-    def compose(outer: "InducedMap", inner: "InducedMap", check: bool = False) -> "InducedMap":
+    def compose(outer: "InducedMap", inner: "InducedMap") -> "InducedMap":
         if not _same_presentation(outer.source, inner.target):
             raise ValueError("maps do not compose")
-        return InducedMap(inner.source, outer.target, outer.matrix @ inner.matrix, check=check)
+        return InducedMap(inner.source, outer.target, outer.matrix @ inner.matrix, check=False)
 
 
 def _same_presentation(a: LatticeQuotient, b: LatticeQuotient) -> bool:

@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import __version__, serial
 from .errors import DomainError, SchemaError, TatekitError, TheoremViolationError
@@ -378,7 +379,9 @@ def _emit(body: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tatekit",
         description="exact computations on group lattices, local square classes, "

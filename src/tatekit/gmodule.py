@@ -27,7 +27,6 @@ __all__ = [
     "quaternion",
     "direct_product",
     "klein_four",
-    "trivial_group",
     "from_permutations",
     "quotient_group",
     "subgroup",
@@ -163,10 +162,6 @@ def finite_group(table) -> FiniteGroup:
                 if table[tab][c] != table[a][table[b][c]]:
                     raise ValueError("multiplication table is not associative")
     return FiniteGroup(n, table, identity, tuple(inverses))
-
-
-def trivial_group() -> FiniteGroup:
-    return cyclic(1)
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -458,11 +453,11 @@ class GModule:
         return self.action[g]
 
 
-def gmodule(group: FiniteGroup, action, check: bool = True) -> GModule:
+def gmodule(group: FiniteGroup, action) -> GModule:
     """Build a module from one matrix per group element.
 
-    With check=True the identity, unimodularity, and the homomorphism law
-    (via a generating set) are all verified.
+    The identity, unimodularity, and the homomorphism law (via a generating
+    set) are all verified.
     """
     action = tuple(action)
     if len(action) != group.order:
@@ -471,17 +466,16 @@ def gmodule(group: FiniteGroup, action, check: bool = True) -> GModule:
     for m in action:
         if m.rows != rank or m.cols != rank:
             raise ValueError("all action matrices must be rank x rank")
-    if check:
-        if action[group.identity] != IntMatrix.identity(rank):
-            raise ValueError("identity must act as the identity matrix")
-        for m in action:
-            if abs(m.det()) != 1:
-                raise ValueError("action matrices must be unimodular")
-        gens = group.generating_set()
-        for g in group.elements():
-            for s in gens:
-                if action[group.mul(g, s)] != action[g] @ action[s]:
-                    raise ValueError("action map is not a homomorphism")
+    if action[group.identity] != IntMatrix.identity(rank):
+        raise ValueError("identity must act as the identity matrix")
+    for m in action:
+        if abs(m.det()) != 1:
+            raise ValueError("action matrices must be unimodular")
+    gens = group.generating_set()
+    for g in group.elements():
+        for s in gens:
+            if action[group.mul(g, s)] != action[g] @ action[s]:
+                raise ValueError("action map is not a homomorphism")
     return GModule(group, rank, action)
 
 
@@ -513,7 +507,7 @@ def module_from_generators(group: FiniteGroup, rank: int, gen_matrices: dict) ->
         frontier = nxt
     if len(action) != group.order:
         raise ValueError("generators do not generate the group")
-    return gmodule(group, [action[g] for g in group.elements()], check=True)
+    return gmodule(group, [action[g] for g in group.elements()])
 
 
 def trivial_module(group: FiniteGroup, rank: int) -> GModule:
@@ -542,7 +536,7 @@ def augmentation_kernel_module(group: FiniteGroup) -> GModule:
                 col[pos[he]] -= 1
             cols.append(col)
         mats.append(IntMatrix(n - 1, n - 1, tuple(tuple(col[i] for col in cols) for i in range(n - 1))))
-    return gmodule(group, mats, check=True)
+    return gmodule(group, mats)
 
 
 def restrict_module(module: GModule, sub: Subgroup) -> GModule:
@@ -602,10 +596,7 @@ def degree_zero_submodule(action: PermAction, coeff: GModule) -> tuple[GModule, 
     big = permutation_module(action, coeff)
     r = coeff.rank
     deg = action.degree
-    if deg == 0:
-        basis = IntMatrix.zeros(0, 0)
-        return GModule(big.group, 0, tuple(IntMatrix.zeros(0, 0) for _ in big.group.elements())), basis, big
-    sub_rank = (deg - 1) * r
+    sub_rank = max(deg - 1, 0) * r
     cols = []
     for w in range(deg - 1):
         for i in range(r):
@@ -614,26 +605,40 @@ def degree_zero_submodule(action: PermAction, coeff: GModule) -> tuple[GModule, 
             col[(deg - 1) * r + i] = -1
             cols.append(col)
     basis = IntMatrix(deg * r, sub_rank, tuple(tuple(c[t] for c in cols) for t in range(deg * r)))
-    # g(e_(w,i) - e_(last,i)) = sum_j m_ji (e_(gw,j) - e_(g.last,j)), and
-    # e_(p,j) - e_(last,j) is basis vector (p, j); terms at the last point drop
-    last = deg - 1
-    mats = []
-    for g in big.group.elements():
-        m = coeff.action[g].entries
-        images = action.images[g]
-        gl = images[last]
-        data = [[0] * sub_rank for _ in range(sub_rank)]
-        for w in range(last):
-            gw = images[w]
-            for j in range(r):
-                mj = m[j]
-                if gw != last:
-                    data[gw * r + j][w * r : (w + 1) * r] = mj
-                if gl != last:
-                    data[gl * r + j][w * r : (w + 1) * r] = [-x for x in mj]
-        mats.append(IntMatrix(sub_rank, sub_rank, tuple(map(tuple, data))))
-    sub = GModule(big.group, sub_rank, tuple(mats))
+    mats = tuple(
+        degree_zero_map(action.images[g], deg, coeff.action[g]) for g in big.group.elements()
+    )
+    sub = GModule(big.group, sub_rank, mats)
     return sub, basis, big
+
+
+def degree_zero_map(images, target_degree: int, block: IntMatrix) -> IntMatrix:
+    """A point map twisted by ``block``, on the degree-zero bases.
+
+    Source point w goes to target point ``images[w]``, and its coefficients
+    through ``block`` (target rank x source rank).  Both bases are those of
+    :func:`degree_zero_submodule`: basis vector (w, i) = e_(w,i) - e_(last,i)
+    goes to sum_j block_ji (b_(images[w],j) - b_(images[last],j)), where
+    b_(p,j) = e_(p,j) - e_(last,j) is a target basis vector, or zero at the
+    target's last point.  The map need not be injective.
+    """
+    rt, rs = block.rows, block.cols
+    last, t_last = len(images) - 1, target_degree - 1
+    nrows, ncols = max(t_last, 0) * rt, max(last, 0) * rs
+    plus = block.entries
+    minus = tuple(tuple(-x for x in row) for row in plus)
+    data = [[0] * ncols for _ in range(nrows)]
+    for w in range(last):
+        a, b = images[w], images[last]
+        if a == b:
+            continue  # the two terms cancel
+        # a != b, so the two terms fill different rows of column block w
+        span = slice(w * rs, (w + 1) * rs)
+        for p, m in ((a, plus), (b, minus)):
+            if p != t_last:
+                for j in range(rt):
+                    data[p * rt + j][span] = m[j]
+    return IntMatrix(nrows, ncols, tuple(map(tuple, data)))
 
 
 # -- coinvariants, invariants, norms ------------------------------------

@@ -64,9 +64,6 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 

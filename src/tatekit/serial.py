@@ -138,9 +138,9 @@ def load_module(group: FiniteGroup, obj, where: str = "module") -> GModule:
             raise SchemaError(f"{where}.generators[{i}].element_index: out of range")
         mat = load_matrix(_get(entry, "matrix", f"{where}.generators[{i}]"),
                           f"{where}.generators[{i}].matrix")
-        if rank and (mat.rows, mat.cols) != (rank, rank):
+        if (mat.rows, mat.cols) != (rank, rank):
             raise SchemaError(f"{where}.generators[{i}].matrix: expected {rank}x{rank}")
-        gens[g] = mat if rank else IntMatrix.zeros(0, 0)
+        gens[g] = mat
     try:
         return module_from_generators(group, rank, gens)
     except ValueError as exc:

@@ -29,13 +29,14 @@ from .gmodule import (
     Subgroup,
     coinvariants,
     coset_action,
+    degree_zero_map,
     degree_zero_submodule,
     disjoint_union_action,
     quotient_group,
     restrict_module,
     torsion_coinvariants,
 )
-from .matrices import IntMatrix, solve_matrix_strict, vstack
+from .matrices import IntMatrix, vstack
 
 __all__ = [
     "PlaceDatum",
@@ -187,18 +188,12 @@ def sha1_shapiro(data: GlobalData) -> ShaResult:
     """
     pm = build_place_module(data)
     domain = torsion_coinvariants(pm.sub)
-    if not data.places:
-        target = coinvariants(pm.big)
-        ker = InducedMap(domain, target, pm.basis).kernel()
-    else:
-        locals_ = [
-            coinvariants(restrict_module(data.module, p.decomposition)) for p in data.places
-        ]
-        target = direct_sum_quotients(locals_)
-        stacked = vstack(
-            [_shapiro_matrix(pm, p.label) for p in data.places], cols=pm.sub.rank
-        )
-        ker = InducedMap(domain, target, stacked).kernel()
+    locals_ = [
+        coinvariants(restrict_module(data.module, p.decomposition)) for p in data.places
+    ]
+    target = direct_sum_quotients(locals_)
+    stacked = vstack([_shapiro_matrix(pm, p.label) for p in data.places], cols=pm.sub.rank)
+    ker = InducedMap(domain, target, stacked).kernel()
     return ShaResult(
         group_invariants=ker.group.invariant_factors,
         kernel=ker,
@@ -333,24 +328,12 @@ def lemma_pushforward(
     action_f = PermAction(quot, n_orbits, images_f)
     module_f = GModule(quot, module.rank, tuple(module.action[reps[q]] for q in quot.elements()))
 
-    deg0_e, basis_e, big_e = degree_zero_submodule(action_e, module)
-    deg0_f, basis_f, big_f = degree_zero_submodule(action_f, module_f)
+    deg0_e = degree_zero_submodule(action_e, module)[0]
+    deg0_f = degree_zero_submodule(action_f, module_f)[0]
 
-    r = module.rank
-    collapse = [[0] * big_e.rank for _ in range(big_f.rank)]
-    for w in range(action_e.degree):
-        for i in range(r):
-            collapse[orbit_of[w] * r + i][w * r + i] = 1
-    collapse_m = IntMatrix(big_f.rank, big_e.rank, tuple(map(tuple, collapse)))
-    section_pts = orbit_reps  # one chosen preimage per orbit
-    sect = [[0] * big_f.rank for _ in range(big_e.rank)]
-    for o, w in enumerate(section_pts):
-        for i in range(r):
-            sect[w * r + i][o * r + i] = 1
-    sect_m = IntMatrix(big_e.rank, big_f.rank, tuple(map(tuple, sect)))
-
-    beta_deg0 = solve_matrix_strict(basis_f, collapse_m @ basis_e)
-    sect_deg0 = solve_matrix_strict(basis_e, sect_m @ basis_f)
+    # collapse each point onto its orbit; the section picks the orbit representatives
+    beta_deg0 = degree_zero_map(orbit_of, n_orbits, eye)
+    sect_deg0 = degree_zero_map(orbit_reps, action_e.degree, eye)
 
     coinv_e = coinvariants(deg0_e)
     coinv_f = coinvariants(deg0_f)

@@ -32,13 +32,14 @@ from .gmodule import (
     _close,
     coinvariants,
     cyclic,
+    degree_zero_map,
     direct_product,
     pullback_module,
     restrict_module,
     subgroup,
     torsion_coinvariants,
 )
-from .matrices import IntMatrix, solve_matrix_strict
+from .matrices import IntMatrix
 from .sha import GlobalData, PlaceDatum, PlaceModule, build_place_module, sha1_S
 
 __all__ = [
@@ -401,15 +402,11 @@ class SimulationReport:
 
 
 def _point_transport(target_pm: PlaceModule, source_pm: PlaceModule, mapper) -> IntMatrix:
-    """0/1 block matrix carrying each source point's block onto its image's."""
-    r = source_pm.data.module.rank
+    """Degree-zero map carrying each source point's block onto its image's."""
     index = {pt: i for i, pt in enumerate(target_pm.points)}
-    rows = [[0] * source_pm.big.rank for _ in range(target_pm.big.rank)]
-    for i, pt in enumerate(source_pm.points):
-        j = index[mapper(pt)]
-        for k in range(r):
-            rows[j * r + k][i * r + k] = 1
-    return IntMatrix(target_pm.big.rank, source_pm.big.rank, tuple(map(tuple, rows)))
+    images = [index[mapper(pt)] for pt in source_pm.points]
+    eye = IntMatrix.identity(source_pm.data.module.rank)
+    return degree_zero_map(images, len(target_pm.points), eye)
 
 
 def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
@@ -506,7 +503,7 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
         raise DomainError("class is not killed by the tower degree")
     pm0 = sha.place_module
     dom_f = torsion_coinvariants(pm_f.sub)
-    inc0 = solve_matrix_strict(pm_f.basis, _point_transport(pm_f, pm0, lambda pt: pt) @ pm0.basis)
+    inc0 = _point_transport(pm_f, pm0, lambda pt: pt)
     alpha_f = dom_f.project(inc0.mul_vec(sha.kernel.lift(alpha_cls)))
 
     # level comparison: collapse the cyclic orbits, then the minimal section
@@ -519,8 +516,8 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
         return (label, data_f.place(label).decomposition.left_coset_of(g // e))
 
     dom1 = torsion_coinvariants(pm_s.sub)
-    sect0 = solve_matrix_strict(pm_s.basis, _point_transport(pm_s, pm_f, sect_point) @ pm_f.basis)
-    coll0 = solve_matrix_strict(pm_f.basis, _point_transport(pm_f, pm_s, coll_point) @ pm_s.basis)
+    sect0 = _point_transport(pm_s, pm_f, sect_point)
+    coll0 = _point_transport(pm_f, pm_s, coll_point)
     sect_map = InducedMap(dom_f, dom1, sect0)
     coll_map = InducedMap(dom1, dom_f, coll0)
     if not InducedMap.compose(coll_map, sect_map).is_identity_on(dom_f):

@@ -360,3 +360,42 @@ def test_batch_rejects_non_list(tmp_path, capsys):
     path = write(tmp_path, "batch.json", {"jobs": {"op": "exponents"}})
     code, body, _ = run_cli(capsys, ["run", "--batch", path])
     assert code == 1 and body["error"]["code"] == "SCHEMA_ERROR"
+
+
+# -- rank-0 modules and the cached parser ------------------------------------
+
+
+def rank_zero_scenario(matrix):
+    return {
+        "theta": {"mul_table": mul_table(cyclic(2))},
+        "module": {"rank": 0, "generators": [{"element_index": 1, "matrix": matrix}]},
+        "places": [{"label": "v", "decomposition_members": [0, 1]}],
+    }
+
+
+@pytest.mark.parametrize("matrix", [[[5, 7], [1, 2]], [[3]]])
+def test_rank_zero_module_rejects_a_nonempty_generator(tmp_path, capsys, matrix):
+    path = write(tmp_path, "s.json", {"scenario": rank_zero_scenario(matrix)})
+    code, body, _ = run_cli(capsys, ["sha1", path])
+    assert code == 1
+    assert body["error"]["code"] == "SCHEMA_ERROR"
+    assert "expected 0x0" in body["error"]["message"]
+
+
+def test_rank_zero_module_accepts_the_empty_generator(tmp_path, capsys):
+    path = write(tmp_path, "s.json", {"scenario": rank_zero_scenario([])})
+    code, body, _ = run_cli(capsys, ["sha1", path])
+    assert code == 0
+    assert body["result"]["s_form"]["order"] == "1"
+    assert body["result"]["agree"] is True
+
+
+def test_parser_survives_a_rejected_command_line(tmp_path, capsys):
+    path = write(tmp_path, "m.json", {"matrix": [[2, 4], [6, 8]]})
+    assert cli.main(["snf", path]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.main(["snf", path, "--no-such-flag"])
+    capsys.readouterr()
+    assert cli.main(["snf", path]) == 0
+    assert capsys.readouterr().out == first

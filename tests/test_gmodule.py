@@ -1,5 +1,7 @@
 """Finite groups, subgroups, integral representations, and transfer."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from tatekit.gmodule import (
     coinvariants,
     coset_action,
     cyclic,
+    degree_zero_map,
     degree_zero_submodule,
     disjoint_union_action,
     dihedral,
@@ -34,7 +37,7 @@ from tatekit.gmodule import (
     trivial_module,
     PermAction,
 )
-from tatekit.matrices import IntMatrix
+from tatekit.matrices import IntMatrix, solve_matrix_strict
 from tatekit.tower import enumerate_subgroups
 
 
@@ -219,6 +222,54 @@ def test_degree_zero_submodule_of_one_point_or_rank_zero_coefficients(corpus):
             assert all((m.rows, m.cols) == (big.rank, big.rank) for m in big.action)
             for e in g.elements():
                 assert basis @ sub.action[e] == big.action[e] @ basis, (name, e)
+
+
+def _degree_zero_map_by_solve(images, target_degree, block):
+    """The reference route: the block transport on M[S], solved on the bases."""
+    r = block.rows
+
+    def basis(degree):
+        one = cyclic(1)
+        points = PermAction(one, degree, (tuple(range(degree)),))
+        return degree_zero_submodule(points, trivial_module(one, r))[1]
+
+    source_basis, target_basis = basis(len(images)), basis(target_degree)
+    data = [[0] * (len(images) * r) for _ in range(target_degree * r)]
+    for w, p in enumerate(images):
+        for j in range(r):
+            data[p * r + j][w * r : (w + 1) * r] = block.entries[j]
+    transport = IntMatrix(target_degree * r, len(images) * r, tuple(map(tuple, data)))
+    return solve_matrix_strict(target_basis, transport @ source_basis)
+
+
+def test_degree_zero_map_equals_the_solved_transport():
+    rng = random.Random(20240605)
+    cases = [
+        ([], 0, 2),  # zero points on both sides
+        ([], 3, 2),  # zero-point source
+        ([0, 0, 0], 1, 2),  # one-point target
+        ([1, 0, 1], 2, 1),  # images[0] == images[last]
+        ([2, 0, 1], 3, 0),  # rank zero
+    ]
+    for _ in range(3000):
+        source, target = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(([rng.randrange(target) for _ in range(source)], target, rng.randint(0, 3)))
+    seen = set()
+    for images, target, r in cases:
+        blocks = [IntMatrix.identity(r)]
+        blocks.append(IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]))
+        if r == 0:
+            blocks = [IntMatrix.zeros(0, 0)]
+        for block in blocks:
+            expected = _degree_zero_map_by_solve(images, target, block)
+            assert degree_zero_map(images, target, block) == expected, (images, target, block)
+        if len(set(images)) < len(images):
+            seen.add("not injective")
+        if len(images) > 1 and images[0] == images[-1]:
+            seen.add("first and last collide")
+        if target == 1:
+            seen.add("one-point target")
+    assert seen == {"not injective", "first and last collide", "one-point target"}
 
 
 # -- module construction ---------------------------------------------------
