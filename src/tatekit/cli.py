@@ -6,6 +6,8 @@ sorted keys, integers as decimal strings, a sha256 digest of the canonical
 input, the package version, and the list of operations the derivation went
 through.  ``run`` executes a job object ``{"op": ..., "input": ...}`` and
 ``run --batch`` a whole file of them, one after another in file order.
+Each command line is parsed by a parser that declares only the subcommand
+it names.
 
 Exit codes: 0 on success, 1 when the input is outside an operation's domain
 (including parse and schema problems), 2 when a certified statement fails
@@ -379,9 +381,16 @@ def _emit(body: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+_COMMANDS = (*_HANDLERS, "run")
+
+
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use; parsing leaves it unchanged."""
+def _build_parser(commands: tuple[str, ...] = _COMMANDS) -> argparse.ArgumentParser:
+    """A parser declaring ``commands``, built on first use; parsing leaves it unchanged.
+
+    A subparser does not depend on the commands declared beside it, so a
+    parser of one command parses that command's lines as the full parser does.
+    """
     parser = argparse.ArgumentParser(
         prog="tatekit",
         description="exact computations on group lattices, local square classes, "
@@ -389,17 +398,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tatekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        sp = sub.add_parser(name, help=f"run the {name} operation on a JSON payload")
-        sp.add_argument("input", help="path to a JSON payload, or - for stdin")
+    for name in commands:
+        if name == "run":
+            sp = sub.add_parser(name, help="execute a job object {op, input}, or a batch of them")
+            sp.add_argument("input", nargs="?", help="path to a job JSON, or - for stdin")
+            sp.add_argument("--batch", help="path to a {jobs: [...]} file; jobs run in order")
+        else:
+            sp = sub.add_parser(name, help=f"run the {name} operation on a JSON payload")
+            sp.add_argument("input", help="path to a JSON payload, or - for stdin")
         sp.add_argument("--out", help="write the report to this file instead of stdout")
         sp.add_argument("--trace", action="store_true", help="echo derivation steps to stderr")
-    runp = sub.add_parser("run", help="execute a job object {op, input}, or a batch of them")
-    runp.add_argument("input", nargs="?", help="path to a job JSON, or - for stdin")
-    runp.add_argument("--batch", help="path to a {jobs: [...]} file; jobs run in order")
-    runp.add_argument("--out", help="write the report to this file instead of stdout")
-    runp.add_argument("--trace", action="store_true", help="echo derivation steps to stderr")
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with a parser of the named command alone, else with the full one.
+
+    Help, version, no command or an unknown one need the full parser; so do
+    unrecognised arguments, which argparse reports under the top-level usage
+    line that lists every command.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _build_parser((argv[0],)).parse_known_args(argv)
+        if not extra:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _echo_trace(body: dict) -> None:
@@ -431,7 +454,7 @@ def _run_batch(path: str, ctx: Context, out: str | None, trace: bool) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         ctx = Context(precision=_env_precision())
         if args.command == "run":

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 MAX_FIELD_DEGREE = 6
+# bits of the lift modulus p^precision; keeps report integers far below the
+# interpreter's int/str conversion limit and a lift well under a second
+MAX_LIFT_BITS = 4096
 
 
 class SquareClass(Enum):
@@ -322,6 +325,11 @@ def teichmuller_lift(alpha, field: ResidueField, precision: int = 8) -> Truncate
     if precision < 1:
         raise DomainError("precision must be positive")
     p = field.p
+    bits = precision * p.bit_length()  # an upper bound on the bit length of p^precision
+    if bits > MAX_LIFT_BITS:
+        raise TooLargeError(
+            f"lift modulus {p}^{precision} has up to {bits} bits, over the bound of {MAX_LIFT_BITS}"
+        )
     mod = p**precision
     x = a % mod
     while True:

@@ -45,6 +45,10 @@ def load_json(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except ValueError:  # a number with more digits than int() converts (4300 by default)
+        raise ParseError(
+            "a JSON number exceeds the interpreter's integer conversion limit"
+        ) from None
 
 
 def parse_int(value, where: str) -> int:
@@ -55,8 +59,13 @@ def parse_int(value, where: str) -> int:
     if isinstance(value, str):
         text = value.strip()
         body = text[1:] if text[:1] in "+-" else text
-        if body.isdigit():
-            return int(text)
+        if body.isdecimal():
+            try:
+                return int(text)
+            except ValueError:  # more digits than int() converts (4300 by default)
+                raise SchemaError(
+                    f"{where}: {len(body)} digits exceed the interpreter's integer conversion limit"
+                ) from None
     raise SchemaError(f"{where}: expected an integer or decimal string, got {value!r}")
 
 

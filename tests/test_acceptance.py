@@ -7,7 +7,6 @@ direct iteration) and then frozen.
 """
 
 import itertools
-import json
 import random
 import time
 

@@ -3,12 +3,14 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
 from tatekit import cli
 from tatekit.errors import TheoremViolationError, TransferNonzeroError
 from tatekit.gmodule import augmentation_kernel_module, cyclic, klein_four
+from tatekit.local import MAX_LIFT_BITS
 
 
 def mul_table(g):
@@ -399,3 +401,142 @@ def test_parser_survives_a_rejected_command_line(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["snf", path]) == 0
     assert capsys.readouterr().out == first
+
+
+# -- one-command parsers --------------------------------------------------------
+
+VALID_ARGVS = (
+    [[name, "in.json"] for name in cli._HANDLERS]
+    + [[name, "-", "--out", "o.json", "--trace"] for name in cli._HANDLERS]
+    + [[name, "--trace", "in.json"] for name in cli._HANDLERS]
+    + [
+        ["run"],
+        ["run", "job.json"],
+        ["run", "-", "--trace"],
+        ["run", "--batch", "b.json", "--out", "o.json", "--trace"],
+        ["run", "job.json", "--batch", "b.json"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(argv):
+    one = cli._build_parser((argv[0],)).parse_args(argv)
+    assert one == cli._build_parser().parse_args(argv)
+
+
+REJECTED_OR_HELP_ARGVS = (
+    [[name, "-h"] for name in cli._COMMANDS]
+    + [[name] for name in cli._HANDLERS]  # missing input
+    + [
+        ["snf", "in.json", "--no-such-flag"],
+        ["run", "--batch", "b.json", "--no-such-flag"],
+        ["run", "--batch"],
+        ["snf", "in.json", "extra"],
+        ["run", "job.json", "extra"],
+        ["frobnicate", "in.json"],
+        ["sn", "in.json"],
+        [],
+        ["-h"],
+        ["--version"],
+        ["snf", "in.json", "--version"],
+        ["--trace", "snf", "in.json"],
+    ]
+)
+
+
+def _exit_of(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", REJECTED_OR_HELP_ARGVS, ids=lambda a: " ".join(a) or "(none)")
+def test_rejected_and_help_lines_exit_as_the_full_parser_does(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _exit_of(cli._build_parser().parse_args, argv, capsys)
+    assert _exit_of(cli.main, argv, capsys) == expected
+
+
+def test_main_without_arguments_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "e.json", {"theta_order": 4})
+    monkeypatch.setattr(sys, "argv", ["tatekit", "exponents", path])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["result"]["rho"] == "49"
+
+
+# -- oversized inputs ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entry, says",
+    [
+        ("1" * 5000, "5000 digits"),
+        ("-" + "9" * 4301, "4301 digits"),
+        ("2²", "expected an integer"),
+    ],
+)
+def test_integer_string_int_cannot_convert_is_a_schema_error(tmp_path, capsys, entry, says):
+    path = write(tmp_path, "m.json", {"matrix": [[entry]]})
+    code, body, _ = run_cli(capsys, ["snf", path])
+    assert code == 1
+    assert body["error"]["code"] == "SCHEMA_ERROR"
+    assert body["error"]["message"].startswith("input.matrix[0][0]: ")
+    assert says in body["error"]["message"]
+
+
+def test_json_number_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "e.json"
+    path.write_text('{"theta_order": %s}' % ("1" * 5000))
+    code, body, _ = run_cli(capsys, ["exponents", str(path)])
+    assert code == 1
+    assert body["error"]["code"] == "PARSE_ERROR"
+
+
+def test_batch_keeps_its_reports_beside_an_oversized_integer(tmp_path, capsys):
+    jobs = {
+        "jobs": [
+            {"op": "exponents", "input": {"theta_order": 4}},
+            {"op": "snf", "input": {"matrix": [["1" * 5000]]}},
+        ]
+    }
+    path = write(tmp_path, "batch.json", jobs)
+    code, body, _ = run_cli(capsys, ["run", "--batch", path])
+    assert code == 1
+    first, second = body["reports"]
+    assert first["result"]["rho"] == "49"
+    assert second["op"] == "snf"
+    assert second["error"]["code"] == "SCHEMA_ERROR"
+    assert second["error"]["message"].startswith("input.matrix[0][0]: ")
+
+
+def _timed_teichmuller(capsys, path):
+    started = time.perf_counter()
+    result = run_cli(capsys, ["teichmuller", path])
+    return result, time.perf_counter() - started
+
+
+def test_lift_precision_past_the_bound_is_too_large(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "t.json", {"p": 5, "alpha": 2, "precision": "10000"})
+    (code, body, _), seconds = _timed_teichmuller(capsys, path)
+    assert code == 1 and body["error"]["code"] == "TOO_LARGE" and seconds < 1
+    assert "30000" in body["error"]["message"]
+    assert str(MAX_LIFT_BITS) in body["error"]["message"]
+
+    monkeypatch.setenv("TATEKIT_PRECISION", "10000")
+    path = write(tmp_path, "t2.json", {"p": 5, "alpha": 2})
+    (code, body, _), seconds = _timed_teichmuller(capsys, path)
+    assert code == 1 and body["error"]["code"] == "TOO_LARGE" and seconds < 1
+
+
+def test_lift_precision_at_the_bound_succeeds(tmp_path, capsys, monkeypatch):
+    under = MAX_LIFT_BITS // 3  # 5 has three bits
+    path = write(tmp_path, "t.json", {"p": 5, "alpha": 2, "precision": under})
+    code, body, _ = run_cli(capsys, ["teichmuller", path])
+    assert code == 0 and body["result"]["precision"] == str(under)
+
+    monkeypatch.setenv("TATEKIT_PRECISION", str(under))
+    path = write(tmp_path, "t2.json", {"p": 5, "alpha": 2})
+    code, body, _ = run_cli(capsys, ["teichmuller", path])
+    assert code == 0 and len(body["result"]["digits"]) == under

@@ -13,7 +13,6 @@ from tatekit.errors import (
 )
 from tatekit.local import (
     MAX_FIELD_DEGREE,
-    ResidueField,
     SquareClass,
     TameExtDescriptor,
     TruncatedElement,

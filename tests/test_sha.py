@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from tatekit.errors import DomainError, HypothesisFailError, UnknownPlaceError
 from tatekit.gmodule import (
-    PermAction,
     augmentation_kernel_module,
     coinvariants,
     coset_action,

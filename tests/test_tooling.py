@@ -40,3 +40,13 @@ def test_every_traced_cache_is_lru_cached():
         assert callable(getattr(fn, "cache_info", None)), (mod_name, attr)
         assert callable(getattr(fn, "cache_clear", None)), (mod_name, attr)
         assert callable(getattr(fn, "__wrapped__", None)), (mod_name, attr)
+
+
+def test_the_benchmark_can_clear_the_parser_cache():
+    # the benchmark clears every cache it finds before each job, so each job
+    # builds its parser as a fresh process does; one it missed would stay warm
+    spec = importlib.util.spec_from_file_location("perfbench_worker", TRACER.with_name("worker.py"))
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    assert callable(getattr(tatekit.cli._build_parser, "cache_clear", None))
+    assert tatekit.cli._build_parser in worker.lru_caches()

@@ -6,7 +6,6 @@ import pytest
 
 from tatekit.errors import (
     DomainError,
-    TheoremViolationError,
     TooLargeError,
 )
 from tatekit.gmodule import (
