@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import MembershipError
@@ -167,18 +168,29 @@ class LatticeQuotient:
     immutable after construction.
     """
 
-    def __init__(self, ambient_rank: int, basis: IntMatrix, relations: IntMatrix):
+    def __init__(
+        self,
+        ambient_rank: int,
+        basis: IntMatrix,
+        relations: IntMatrix,
+        *,
+        rel_in_basis: IntMatrix | None = None,
+    ):
+        """``rel_in_basis``, given only by a caller that already knows it, is
+        the unique X with basis @ X == relations; the basis's Smith form is
+        then taken only when a solve first needs it."""
         if basis.rows != ambient_rank or relations.rows != ambient_rank:
             raise ValueError("basis and relations must live in the ambient space")
         self.ambient_rank = ambient_rank
         self.basis = basis
         self.relations = relations
-        if basis.cols == ambient_rank and basis == IntMatrix.identity(ambient_rank):
-            # P is all of Z^ambient_rank: every vector is its own coordinate vector
-            self._basis_sf = None
+        # P is all of Z^ambient_rank: every vector is its own coordinate vector
+        self._full_basis = basis.cols == ambient_rank and basis == IntMatrix.identity(ambient_rank)
+        if self._full_basis:
             self.rel_in_basis = relations
+        elif rel_in_basis is not None:
+            self.rel_in_basis = rel_in_basis
         else:
-            self._basis_sf = smith_normal_form(basis)
             if self._basis_sf.rank != basis.cols:
                 raise ValueError("basis columns must be independent")
             self.rel_in_basis = solve_matrix_strict(basis, relations, self._basis_sf)
@@ -191,6 +203,14 @@ class LatticeQuotient:
         self._tor_positions = tuple(i for i in range(k) if diag[i] >= 2)
         self._free_positions = tuple(range(k, l))
         self.group = FinAbGroup(tuple(diag[i] for i in self._tor_positions), l - k)
+
+    @cached_property
+    def _basis_sf(self) -> SmithForm | None:
+        """Smith form of a basis other than the identity, taken on first use;
+        it tracks the u and v that solving over the basis reads."""
+        if self._full_basis:
+            return None
+        return smith_normal_form(self.basis, inverses=False)
 
     def _basis_coords(self, vec):
         """Coordinates of an ambient vector over ``basis``, or None outside P."""
@@ -259,7 +279,10 @@ class LatticeQuotient:
         """Torsion subgroup, presented on the saturation of the relations."""
         k = self._rank_rel
         sat = IntMatrix(self.basis.cols, k, tuple(row[:k] for row in self.snf.u_inv.entries))
-        return LatticeQuotient(self.ambient_rank, self.basis @ sat, self.relations)
+        # u @ rel_in_basis vanishes below row k, so its top rows are the
+        # relations' coordinates over sat
+        coords = IntMatrix(k, self.basis.cols, self.snf.u.entries[:k]) @ self.rel_in_basis
+        return LatticeQuotient(self.ambient_rank, self.basis @ sat, self.relations, rel_in_basis=coords)
 
 
 def cokernel(a: IntMatrix) -> LatticeQuotient:
@@ -310,16 +333,30 @@ class InducedMap:
 
     def kernel(self) -> LatticeQuotient:
         """Kernel as a subquotient presented inside the source ambient space."""
-        moved = self.matrix @ self.source.basis
+        source = self.source
+        l = source.basis.cols
+        moved = self.matrix @ source.basis
         block = hstack([moved, self.target.relations], rows=self.target.ambient_rank)
-        ker = kernel_basis(block)
-        top = IntMatrix(
-            self.source.basis.cols,
-            ker.cols,
-            tuple(ker.entries[i] for i in range(self.source.basis.cols)),
+        top = kernel_basis(block, rows=l)
+        sf = smith_normal_form(top, cols=False)
+        pre = lattice_basis(top, sf)
+        # u @ top is diag(d) on its first k rows and zero below, so a vector
+        # x of the kernel lattice has coordinates d^-1 (u @ x)[:k] over pre
+        k = pre.cols
+        rel = source.rel_in_basis
+        w = (sf.u @ rel).entries
+        if any(map(any, w[k:])):
+            raise MembershipError("map does not send relations into its kernel")
+        coords = []
+        for d, row in zip(sf.diagonal[:k], w):
+            if d != 1:
+                if any(x % d for x in row):
+                    raise MembershipError("map does not send relations into its kernel")
+                row = tuple(x // d for x in row)
+            coords.append(row)
+        return LatticeQuotient(
+            source.ambient_rank, source.basis @ pre, source.relations, rel_in_basis=IntMatrix(k, rel.cols, tuple(coords))
         )
-        pre = lattice_basis(top)
-        return LatticeQuotient(self.source.ambient_rank, self.source.basis @ pre, self.source.relations)
 
     def is_identity_on(self, quotient: LatticeQuotient) -> bool:
         """True when source == target == quotient and the map fixes every generator."""

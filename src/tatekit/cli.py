@@ -40,11 +40,6 @@ DEFAULT_PRECISION = 8
 
 
 @dataclass(frozen=True)
-class Context:
-    precision: int
-
-
-@dataclass(frozen=True)
 class Job:
     op: str
     payload: dict
@@ -68,7 +63,7 @@ def _group_dict(group) -> dict:
 # -- handlers; each returns (result, trace) ---------------------------------
 
 
-def _op_snf(payload: dict, ctx: Context):
+def _op_snf(payload: dict):
     mat = serial.load_matrix(payload.get("matrix"), "input.matrix")
     sf = smith_normal_form(mat)
     result = {
@@ -89,7 +84,7 @@ def _load_group_module(payload: dict):
     return group, module
 
 
-def _op_tate(payload: dict, ctx: Context):
+def _op_tate(payload: dict):
     _, module = _load_group_module(payload)
     co = coinvariants(module)
     h1 = tate_h_minus1(module)
@@ -103,7 +98,7 @@ def _op_tate(payload: dict, ctx: Context):
     return result, ["coinvariants", "norm_induced_map", "norm_induced_map.kernel", "tate_h0"]
 
 
-def _op_transfer(payload: dict, ctx: Context):
+def _op_transfer(payload: dict):
     group, module = _load_group_module(payload)
     sub = serial.load_subgroup(group, payload.get("subgroup_members"), "input.subgroup_members")
     coords = payload.get("class", [])
@@ -127,7 +122,7 @@ def _op_transfer(payload: dict, ctx: Context):
     return result, ["coinvariants", "transfer_matrix", "coinvariants[restriction]", "project"]
 
 
-def _op_counterexample(payload: dict, ctx: Context):
+def _op_counterexample(payload: dict):
     p = serial.parse_int(payload.get("p", 5), "input.p")
     q = serial.parse_int(payload["q"], "input.q") if "q" in payload else None
     trivial = payload.get("trivial_class", False)
@@ -167,13 +162,27 @@ def _op_counterexample(payload: dict, ctx: Context):
     return result, trace
 
 
-def _op_teichmuller(payload: dict, ctx: Context):
+def _env_precision() -> int:
+    raw = os.environ.get("TATEKIT_PRECISION", str(DEFAULT_PRECISION))
+    try:
+        precision = int(raw)
+    except ValueError:
+        raise DomainError(f"TATEKIT_PRECISION must be an integer, got {raw!r}") from None
+    if precision < 1:
+        raise DomainError("TATEKIT_PRECISION must be positive")
+    return precision
+
+
+def _op_teichmuller(payload: dict):
+    # the only op that reads TATEKIT_PRECISION; it is validated even when the
+    # payload gives its own precision
+    env_precision = _env_precision()
     p = serial.parse_int(payload.get("p"), "input.p")
     alpha = serial.parse_int(payload.get("alpha"), "input.alpha")
     precision = (
         serial.parse_int(payload["precision"], "input.precision")
         if "precision" in payload
-        else ctx.precision
+        else env_precision
     )
     field = residue_field(p)
     lift = teichmuller_lift(alpha, field, precision)
@@ -193,7 +202,7 @@ def _op_teichmuller(payload: dict, ctx: Context):
     return result, ["residue_field", "teichmuller_lift"]
 
 
-def _op_quad_sub(payload: dict, ctx: Context):
+def _op_quad_sub(payload: dict):
     p = serial.parse_int(payload.get("p"), "input.p")
     r = serial.parse_int(payload.get("r", 1), "input.r")
     f = serial.parse_int(payload.get("f"), "input.f")
@@ -216,7 +225,7 @@ def _op_quad_sub(payload: dict, ctx: Context):
     return result, ["residue_field", "quadratic_subextension"]
 
 
-def _op_sha1(payload: dict, ctx: Context):
+def _op_sha1(payload: dict):
     data, _ = serial.load_scenario(payload.get("scenario"), "input.scenario")
     by_inclusion = sha1_S(data)
     by_local = sha1_shapiro(data)
@@ -236,7 +245,7 @@ def _op_sha1(payload: dict, ctx: Context):
     return result, ["build_place_module", "sha1_S", "sha1_shapiro"]
 
 
-def _op_obstruction(payload: dict, ctx: Context):
+def _op_obstruction(payload: dict):
     data, classes = serial.load_scenario(payload.get("scenario"), "input.scenario")
     if classes is None:
         raise SchemaError("input.scenario.local_classes: missing")
@@ -252,7 +261,7 @@ def _op_obstruction(payload: dict, ctx: Context):
     return result, ["local_torsion_quotient", "tate_obstruction"]
 
 
-def _op_subgroup_bound(payload: dict, ctx: Context):
+def _op_subgroup_bound(payload: dict):
     group = serial.load_group(payload.get("group"), "input.group")
     rep = subgroup_bound_check(group)
     result = {
@@ -265,7 +274,7 @@ def _op_subgroup_bound(payload: dict, ctx: Context):
     return result, ["enumerate_subgroups", "subgroup_bound_check"]
 
 
-def _op_exponents(payload: dict, ctx: Context):
+def _op_exponents(payload: dict):
     triple = degree_exponents(serial.parse_int(payload.get("theta_order"), "input.theta_order"))
     result = {
         "theta_order": triple.theta_order,
@@ -276,7 +285,7 @@ def _op_exponents(payload: dict, ctx: Context):
     return result, ["degree_exponents"]
 
 
-def _op_split_sim(payload: dict, ctx: Context):
+def _op_split_sim(payload: dict):
     cfg, alpha = serial.load_tower(payload, "input")
     rep = simulate_splitting_tower(cfg, alpha)
     result = {
@@ -332,8 +341,8 @@ def parse_job(obj, where: str = "job") -> Job:
     return Job(op, _dict(obj.get("input"), f"{where}.input"))
 
 
-def run_job(job: Job, ctx: Context) -> dict:
-    result, trace = _HANDLERS[job.op](job.payload, ctx)
+def run_job(job: Job) -> dict:
+    result, trace = _HANDLERS[job.op](job.payload)
     return {
         "version": __version__,
         "op": job.op,
@@ -349,17 +358,6 @@ def _error_body(exc: TatekitError) -> dict:
 
 def _exit_code(exc: TatekitError) -> int:
     return 2 if isinstance(exc, TheoremViolationError) else 1
-
-
-def _env_precision() -> int:
-    raw = os.environ.get("TATEKIT_PRECISION", str(DEFAULT_PRECISION))
-    try:
-        precision = int(raw)
-    except ValueError:
-        raise DomainError(f"TATEKIT_PRECISION must be an integer, got {raw!r}") from None
-    if precision < 1:
-        raise DomainError("TATEKIT_PRECISION must be positive")
-    return precision
 
 
 def _read_payload(path: str) -> str:
@@ -430,7 +428,7 @@ def _echo_trace(body: dict) -> None:
         sys.stderr.write(f"# {step}\n")
 
 
-def _run_batch(path: str, ctx: Context, out: str | None, trace: bool) -> int:
+def _run_batch(path: str, out: str | None, trace: bool) -> int:
     obj = serial.load_json(_read_payload(path))
     obj = _dict(obj, "batch")
     raw_jobs = obj.get("jobs")
@@ -440,7 +438,7 @@ def _run_batch(path: str, ctx: Context, out: str | None, trace: bool) -> int:
 
     def run_one(job: Job):
         try:
-            return run_job(job, ctx), 0
+            return run_job(job), 0
         except TatekitError as exc:
             return {"op": job.op, **_error_body(exc)}, _exit_code(exc)
 
@@ -456,19 +454,18 @@ def _run_batch(path: str, ctx: Context, out: str | None, trace: bool) -> int:
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        ctx = Context(precision=_env_precision())
         if args.command == "run":
             if args.batch and args.input:
                 raise DomainError("give either a single job or --batch, not both")
             if args.batch:
-                return _run_batch(args.batch, ctx, args.out, args.trace)
+                return _run_batch(args.batch, args.out, args.trace)
             if not args.input:
                 raise DomainError("run needs a job file or --batch")
             job = parse_job(serial.load_json(_read_payload(args.input)))
         else:
             payload = serial.load_json(_read_payload(args.input))
             job = Job(args.command, _dict(payload))
-        report = run_job(job, ctx)
+        report = run_job(job)
     except TatekitError as exc:
         _emit(_error_body(exc), getattr(args, "out", None))
         return _exit_code(exc)

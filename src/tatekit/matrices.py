@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import MembershipError
 
@@ -79,18 +79,13 @@ class IntMatrix:
         # row i of the product sums a * (row k of other) over the nonzero
         # entries a of row i: the action matrices, bases and transforms
         # multiplied here are mostly zeros and units
-        add, sub, mul = operator.add, operator.sub, operator.mul
         zero = (0,) * other.cols
         data = []
         for row in self.entries:
             acc = zero
             for a, brow in zip(row, other.entries):
-                if a == 1:
-                    acc = list(map(add, acc, brow))
-                elif a == -1:
-                    acc = list(map(sub, acc, brow))
-                elif a:
-                    acc = list(map(add, acc, map(mul, repeat(a), brow)))
+                if a:
+                    acc = _axpy(acc, a, brow)
             data.append(tuple(acc))
         return IntMatrix(self.rows, other.cols, tuple(data))
 
@@ -106,7 +101,7 @@ class IntMatrix:
         return IntMatrix(
             self.rows,
             self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            tuple(tuple(map(operator.add, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
@@ -114,7 +109,7 @@ class IntMatrix:
         return IntMatrix(
             self.rows,
             self.cols,
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            tuple(tuple(map(operator.sub, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
         )
 
     def __neg__(self) -> "IntMatrix":
@@ -167,7 +162,7 @@ def hstack(mats, rows: int | None = None) -> IntMatrix:
     nrows = mats[0].rows
     if any(m.rows != nrows for m in mats):
         raise ValueError("row counts differ")
-    data = tuple(tuple(x for m in mats for x in m.entries[i]) for i in range(nrows))
+    data = tuple(tuple(chain.from_iterable(parts)) for parts in zip(*(m.entries for m in mats)))
     return IntMatrix(nrows, sum(m.cols for m in mats), data)
 
 
@@ -204,8 +199,9 @@ class SmithForm:
 
     The inverses of the transforms are tracked during elimination so that
     lattice computations (saturation, lifts) never need a separate matrix
-    inversion step.  A form computed with ``cols=False`` carries the row
-    transforms only; its ``v`` and ``v_inv`` are empty 0 x 0 matrices.
+    inversion step.  A transform its caller does not read is not tracked
+    and is an empty 0 x 0 matrix here; ``v`` may also hold only its first
+    rows (see ``smith_normal_form``).
     """
 
     u: IntMatrix
@@ -224,65 +220,106 @@ class SmithForm:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
+def _identity_rows(n: int, width: int | None = None) -> list[list[int]]:
+    """Rows of the n x n identity, each cut to its first ``width`` entries."""
+    width = n if width is None else width
+    rows = [[0] * width for _ in range(n)]
+    for i in range(min(n, width)):
         rows[i][i] = 1
     return rows
 
 
-def smith_normal_form(a: IntMatrix, *, cols: bool = True) -> SmithForm:
+def _axpy(x, q: int, y) -> list[int]:
+    """x + q * y, entrywise; the unit multipliers skip the products."""
+    if q == 1:
+        return list(map(operator.add, x, y))
+    if q == -1:
+        return list(map(operator.sub, x, y))
+    return list(map(operator.add, x, map(operator.mul, repeat(q), y)))
+
+
+def smith_normal_form(
+    a: IntMatrix,
+    *,
+    cols: bool = True,
+    rows: bool = True,
+    inverses: bool = True,
+    v_rows: int | None = None,
+) -> SmithForm:
     """Smith normal form over the integers.
 
     Returns u, s, v, u_inv, v_inv with u @ a @ v == s, s diagonal with
     nonnegative entries d1 | d2 | ... and trailing zeros.  Total on every
-    input shape including empty matrices.  With cols=False the column
-    transforms are not tracked (lattice quotients need only u and u_inv);
-    the elimination, and so s, u and u_inv, are the same either way.
+    input shape including empty matrices.
+
+    Only the transforms a caller reads need be tracked; the elimination, its
+    pivots and every tracked transform are the same whatever is left out,
+    and an untracked one is returned as a 0 x 0 matrix:
+
+    - ``cols=False`` drops v and v_inv (lattice quotients read u and u_inv);
+    - ``rows=False`` drops u and u_inv (kernels read v alone);
+    - ``inverses=False`` drops u_inv and v_inv (solves read u and v);
+    - ``v_rows=l`` keeps the first l rows of v only, and drops v_inv.  A
+      column operation changes each row of v on its own, so these rows are
+      exactly the top of the full v.
     """
     m, n = a.rows, a.cols
+    if v_rows is not None and not 0 <= v_rows <= n:
+        raise ValueError("v_rows must lie between 0 and the column count")
+    track_u = rows
+    track_uinv = rows and inverses
+    track_v = cols
+    track_vinv = cols and inverses and v_rows is None
     s = [list(row) for row in a.entries]
-    u = _identity_rows(m)
+    u = _identity_rows(m) if track_u else None
     # u_inv and v are kept transposed, so their column operations are row
-    # operations on these lists
-    uinv_t = _identity_rows(m)
-    v_t = _identity_rows(n) if cols else None
-    vinv = _identity_rows(n) if cols else None
+    # operations on these lists; v_t[j] holds the tracked rows of column j
+    uinv_t = _identity_rows(m) if track_uinv else None
+    v_t = _identity_rows(n, v_rows) if track_v else None
+    vinv = _identity_rows(n) if track_vinv else None
 
     def swap_rows(i, j):
         if i == j:
             return
         s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-        uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
+        if track_u:
+            u[i], u[j] = u[j], u[i]
+        if track_uinv:
+            uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
 
     def swap_cols(i, j):
         if i == j:
             return
         for row in s:
             row[i], row[j] = row[j], row[i]
-        if cols:
+        if track_v:
             v_t[i], v_t[j] = v_t[j], v_t[i]
+        if track_vinv:
             vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(i, j, q):
         # row_i += q * row_j
-        s[i] = [x + q * y for x, y in zip(s[i], s[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        uinv_t[j] = [x - q * y for x, y in zip(uinv_t[j], uinv_t[i])]
+        s[i] = _axpy(s[i], q, s[j])
+        if track_u:
+            u[i] = _axpy(u[i], q, u[j])
+        if track_uinv:
+            uinv_t[j] = _axpy(uinv_t[j], -q, uinv_t[i])
 
     def add_col(j, i, q):
         # col_j += q * col_i; only ever called with column i of s zero off
         # row i, so in s the update touches row i alone
         s[i][j] += q * s[i][i]
-        if cols:
-            v_t[j] = [x + q * y for x, y in zip(v_t[j], v_t[i])]
-            vinv[i] = [x - q * y for x, y in zip(vinv[i], vinv[j])]
+        if track_v:
+            v_t[j] = _axpy(v_t[j], q, v_t[i])
+        if track_vinv:
+            vinv[i] = _axpy(vinv[i], -q, vinv[j])
 
     def negate_row(i):
         s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-        uinv_t[i] = [-x for x in uinv_t[i]]
+        if track_u:
+            u[i] = [-x for x in u[i]]
+        if track_uinv:
+            uinv_t[i] = [-x for x in uinv_t[i]]
 
     def find_pivot(t):
         # smallest |entry| in the trailing block, first in row-major order;
@@ -358,20 +395,25 @@ def smith_normal_form(a: IntMatrix, *, cols: bool = True) -> SmithForm:
             negate_row(i)
 
     skipped = IntMatrix.zeros(0, 0)
+    v_height = n if v_rows is None else v_rows
     return SmithForm(
-        IntMatrix(m, m, tuple(map(tuple, u))),
+        IntMatrix(m, m, tuple(map(tuple, u))) if track_u else skipped,
         IntMatrix(m, n, tuple(map(tuple, s))),
-        IntMatrix(n, n, tuple(zip(*v_t))) if cols else skipped,
-        IntMatrix(m, m, tuple(zip(*uinv_t))),
-        IntMatrix(n, n, tuple(map(tuple, vinv))) if cols else skipped,
+        IntMatrix(v_height, n, tuple(zip(*v_t)) if n else ((),) * v_height) if track_v else skipped,
+        IntMatrix(m, m, tuple(zip(*uinv_t))) if track_uinv else skipped,
+        IntMatrix(n, n, tuple(map(tuple, vinv))) if track_vinv else skipped,
     )
 
 
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Basis (as columns) of the integer kernel { x : a @ x == 0 }."""
-    sf = smith_normal_form(a)
+def kernel_basis(a: IntMatrix, rows: int | None = None) -> IntMatrix:
+    """Basis (as columns) of the integer kernel { x : a @ x == 0 }.
+
+    With ``rows=l`` only the first l coordinates of each basis vector are
+    returned, from an elimination that tracks only those rows of v.
+    """
+    sf = smith_normal_form(a, rows=False, inverses=False, v_rows=rows)
     k = sf.rank
-    return IntMatrix(a.cols, a.cols - k, tuple(row[k:] for row in sf.v.entries))
+    return IntMatrix(sf.v.rows, a.cols - k, tuple(row[k:] for row in sf.v.entries))
 
 
 def solve_vector(a: IntMatrix, y, sf: SmithForm | None = None):
@@ -426,13 +468,15 @@ def solve_matrix_strict(a: IntMatrix, y: IntMatrix, sf: SmithForm | None = None)
     return x
 
 
-def lattice_basis(generators: IntMatrix) -> IntMatrix:
+def lattice_basis(generators: IntMatrix, sf: SmithForm | None = None) -> IntMatrix:
     """Independent basis (as columns) of the lattice the columns generate.
 
     Column i is d_i times column i of u_inv, for each nonzero invariant
-    factor d_i.
+    factor d_i.  ``sf``, when given, is the row-transform Smith form of
+    ``generators``, so a caller that reads its u as well takes it once.
     """
-    sf = smith_normal_form(generators, cols=False)
+    if sf is None:
+        sf = smith_normal_form(generators, cols=False)
     diag = sf.diagonal[: sf.rank]
     return IntMatrix(
         generators.rows, len(diag), tuple(tuple(map(operator.mul, diag, row)) for row in sf.u_inv.entries)

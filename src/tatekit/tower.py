@@ -44,6 +44,7 @@ from .sha import GlobalData, PlaceDatum, PlaceModule, build_place_module, sha1_S
 
 __all__ = [
     "MAX_ENUM_ORDER",
+    "MAX_RHO_BITS",
     "ExponentTriple",
     "PlaceSelection",
     "ProductSubgroup",
@@ -60,6 +61,9 @@ __all__ = [
 ]
 
 MAX_ENUM_ORDER = 64
+# bits of rho = (theta - 1) * theta^lam + 1; at most bit_length(theta)^2, so
+# theta orders below 2^64 pass and every accepted report encodes
+MAX_RHO_BITS = 4096
 
 
 # -- subgroup enumeration and the counting bound --------------------------
@@ -134,6 +138,11 @@ def degree_exponents(theta_order: int) -> ExponentTriple:
     if theta_order < 1:
         raise DomainError("group order must be positive")
     lam = theta_order.bit_length() - 1
+    bits = theta_order.bit_length() * (lam + 1)  # an upper bound on the bit length of rho
+    if bits > MAX_RHO_BITS:
+        raise TooLargeError(
+            f"rho for a theta order of {lam + 1} bits has up to {bits} bits, over the bound of {MAX_RHO_BITS}"
+        )
     rho = (theta_order - 1) * theta_order**lam + 1
     return ExponentTriple(theta_order, lam, rho, rho + lam + 1)
 

@@ -15,6 +15,17 @@ from tatekit import (
     torsion_subgroup,
 )
 from tatekit.errors import MembershipError
+from tatekit.gmodule import (
+    augmentation_kernel_module,
+    coinvariants,
+    direct_sum_modules,
+    norm_induced_map,
+    trivial_module,
+)
+from tatekit.matrices import hstack, smith_normal_form
+from tatekit.sha import sha1_S, sha1_shapiro
+
+from test_sha import klein_data, quarter_turn_data
 
 
 def test_group_basics():
@@ -206,3 +217,88 @@ def test_quotient_group_law(v):
     y = q.project((1, 2))
     # projection is additive
     assert q.project((v[0] + 1, v[1] + 2)) == x + y
+
+
+# -- sub-quotients built from the coordinates their parents already know ------
+
+
+def _corpus_modules(corpus):
+    for name, g in corpus.items():
+        aug = augmentation_kernel_module(g)
+        yield name, "triv2", trivial_module(g, 2)
+        yield name, "aug", aug
+        yield name, "aug+triv1", direct_sum_modules([aug, trivial_module(g, 1)])
+
+
+@pytest.fixture(scope="module")
+def derived(corpus):
+    return list(_derived_quotients(corpus))
+
+
+def _derived_quotients(corpus):
+    """Every torsion() and kernel() sub-quotient the tate ops build, per corpus module."""
+    for name, mname, module in _corpus_modules(corpus):
+        co = coinvariants(module)
+        yield f"{name}/{mname}/torsion", co.torsion()
+        yield f"{name}/{mname}/h-1", norm_induced_map(module).kernel()
+        doubling = InducedMap(co, co, IntMatrix.identity(module.rank).scaled(2))
+        yield f"{name}/{mname}/ker(2)", doubling.kernel()
+    for name, data in (("klein", klein_data()), ("quarter", quarter_turn_data())):
+        for form in (sha1_S, sha1_shapiro):
+            res = form(data)
+            yield f"{name}/{form.__name__}/domain", res.domain
+            yield f"{name}/{form.__name__}/kernel", res.kernel
+
+
+def _in_lattice(basis, vec):
+    """Membership oracle by invariant factors alone: adding a vector of the
+    lattice to its basis leaves the nonzero invariant factors unchanged."""
+    def factors(m):
+        return [d for d in smith_normal_form(m, cols=False).diagonal if d]
+
+    col = IntMatrix(len(vec), 1, tuple((x,) for x in vec))
+    return factors(hstack([basis, col])) == factors(basis)
+
+
+def test_derived_quotients_equal_the_quotients_built_from_scratch(derived):
+    for label, q in derived:
+        scratch = LatticeQuotient(q.ambient_rank, q.basis, q.relations)
+        assert q.rel_in_basis == scratch.rel_in_basis, label
+        assert q.basis @ q.rel_in_basis == q.relations, label
+        assert (q.snf.s, q.snf.u, q.snf.u_inv) == (scratch.snf.s, scratch.snf.u, scratch.snf.u_inv), label
+        assert q.group == scratch.group, label
+        assert q.generator_vectors() == scratch.generator_vectors(), label
+
+
+def test_derived_quotients_accept_members_and_reject_the_rest(derived):
+    for label, q in derived:
+        n = q.ambient_rank
+        members = q.generator_vectors() + q.basis.columns() + q.relations.columns()[:4]
+        for vec in members:
+            assert q.contains_vector(vec), label
+            q.project(vec)
+        for x in q.group.elements() if q.group.is_finite and q.group.size() <= 16 else ():
+            assert q.project(q.lift(x)) == x, label
+        units = [tuple(int(i == j) for j in range(n)) for i in range(min(n, 3))]
+        for vec in units + [tuple(range(1, n + 1))]:
+            inside = _in_lattice(q.basis, vec)
+            assert q.contains_vector(vec) == inside, (label, vec)
+            if not inside:
+                with pytest.raises(MembershipError):
+                    q.project(vec)
+        # a map into a derived quotient checks its images with that quotient's solves
+        assert InducedMap(q, q, IntMatrix.identity(n)).is_identity_on(q), label
+
+
+def test_a_quotient_built_from_outside_checks_its_basis_at_once():
+    dependent = IntMatrix.from_rows([[1, 2], [1, 2]])
+    with pytest.raises(ValueError):
+        LatticeQuotient(2, dependent, IntMatrix.zeros(2, 0))
+
+
+def test_a_derived_quotient_takes_its_basis_smith_form_on_first_solve():
+    q = cokernel(IntMatrix.from_rows([[3, 0], [0, 0], [0, 5]]))  # Z/15 + Z on a 3-dim ambient
+    for sub in (q.torsion(), InducedMap(q, q, IntMatrix.identity(3).scaled(3)).kernel()):
+        assert "_basis_sf" not in vars(sub)
+        assert sub.contains_vector(sub.basis.column(0))
+        assert "_basis_sf" in vars(sub)

@@ -11,6 +11,7 @@ from tatekit import cli
 from tatekit.errors import TheoremViolationError, TransferNonzeroError
 from tatekit.gmodule import augmentation_kernel_module, cyclic, klein_four
 from tatekit.local import MAX_LIFT_BITS
+from tatekit.tower import MAX_RHO_BITS
 
 
 def mul_table(g):
@@ -540,3 +541,63 @@ def test_lift_precision_at_the_bound_succeeds(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "t2.json", {"p": 5, "alpha": 2})
     code, body, _ = run_cli(capsys, ["teichmuller", path])
     assert code == 0 and len(body["result"]["digits"]) == under
+
+
+def test_ops_that_read_no_precision_ignore_a_malformed_env_precision(tmp_path, capsys, monkeypatch):
+    jobs = [
+        ("snf", write(tmp_path, "m.json", {"matrix": [[2, 4], [6, 8]]})),
+        ("sha1", write(tmp_path, "s.json", {"scenario": klein_scenario()})),
+    ]
+    monkeypatch.delenv("TATEKIT_PRECISION", raising=False)
+    expected = []
+    for op, path in jobs:
+        assert cli.main([op, path]) == 0
+        expected.append(capsys.readouterr().out)
+    monkeypatch.setenv("TATEKIT_PRECISION", "zero")
+    for (op, path), out in zip(jobs, expected):
+        assert cli.main([op, path]) == 0
+        assert capsys.readouterr().out == out
+
+
+def test_batch_keeps_its_reports_beside_a_malformed_env_precision(tmp_path, capsys, monkeypatch):
+    jobs = {
+        "jobs": [
+            {"op": "snf", "input": {"matrix": [[2, 4], [6, 8]]}},
+            {"op": "teichmuller", "input": {"p": 5, "alpha": 2}},
+        ]
+    }
+    path = write(tmp_path, "batch.json", jobs)
+    monkeypatch.setenv("TATEKIT_PRECISION", "zero")
+    code, body, _ = run_cli(capsys, ["run", "--batch", path])
+    assert code == 1
+    first, second = body["reports"]
+    assert first["result"]["diagonal"] == ["2", "4"]
+    assert second["op"] == "teichmuller"
+    assert second["error"] == {"code": "DOMAIN_ERROR", "message": "TATEKIT_PRECISION must be an integer, got 'zero'"}
+
+
+def test_exponents_past_the_rho_bound_is_too_large(tmp_path, capsys):
+    path = write(tmp_path, "e.json", {"theta_order": "1" + "0" * 200})
+    started = time.perf_counter()
+    code, body, _ = run_cli(capsys, ["exponents", path])
+    assert time.perf_counter() - started < 1
+    assert code == 1 and body["error"]["code"] == "TOO_LARGE"
+    assert str(MAX_RHO_BITS) in body["error"]["message"]
+
+
+def test_batch_keeps_its_reports_beside_an_oversized_theta_order(tmp_path, capsys):
+    jobs = {
+        "jobs": [
+            {"op": "exponents", "input": {"theta_order": "1" + "0" * 200}},
+            {"op": "exponents", "input": {"theta_order": str(2**64 - 1)}},
+            {"op": "exponents", "input": {"theta_order": 4}},
+        ]
+    }
+    path = write(tmp_path, "batch.json", jobs)
+    code, body, _ = run_cli(capsys, ["run", "--batch", path])
+    assert code == 1
+    too_large, largest, small = body["reports"]
+    assert too_large["error"]["code"] == "TOO_LARGE"
+    order = 2**64 - 1
+    assert largest["result"]["rho"] == str((order - 1) * order**63 + 1)
+    assert small["result"]["rho"] == "49"

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tatekit import IntMatrix, kernel_basis, lattice_basis, smith_normal_form
@@ -196,3 +196,95 @@ def test_snf_diagonal_matches_determinantal_divisors(a):
         expected.append(dk // prev if dk else 0)
         prev = dk or prev
     assert list(smith_normal_form(a).diagonal) == expected
+
+
+# -- transforms tracked only for the callers that read them --------------------
+
+
+def _full_kernel_top(a, l):
+    """First l rows of the kernel basis read off a fully tracked Smith form."""
+    full = smith_normal_form(a)
+    k = full.rank
+    return IntMatrix(l, a.cols - k, tuple(row[k:] for row in full.v.entries[:l]))
+
+
+def sha_blocks(max_rows=8, max_left=6, max_right=30):
+    """[M @ P | R] as the kernel of an induced map stacks it: a dense left
+    block of basis images and a wide right block of sparse (g - 1) columns."""
+
+    def build(shape):
+        m, left, right = shape
+        return st.tuples(
+            st.lists(st.lists(entries, min_size=left, max_size=left), min_size=m, max_size=m),
+            st.lists(st.lists(st.sampled_from([-1, 0, 0, 0, 1]), min_size=right, max_size=right), min_size=m, max_size=m),
+        ).map(lambda lr: (IntMatrix.from_rows([x + y for x, y in zip(*lr)]), left))
+
+    return st.tuples(st.integers(1, max_rows), st.integers(0, max_left), st.integers(0, max_right)).flatmap(build)
+
+
+@given(st.data())
+def test_kernel_of_truncated_v_is_the_top_of_the_full_kernel(data):
+    a = data.draw(matrices(12))
+    l = data.draw(st.integers(0, a.cols))
+    assert kernel_basis(a, rows=l) == _full_kernel_top(a, l)
+    assert kernel_basis(a) == _full_kernel_top(a, a.cols)
+
+
+@given(sha_blocks())
+def test_kernel_of_truncated_v_on_wide_sha_shaped_blocks(block):
+    a, l = block
+    top = kernel_basis(a, rows=l)
+    assert top == _full_kernel_top(a, l)
+    assert top.rows == l
+
+
+@given(st.data())
+def test_every_tracking_mode_matches_the_full_form(data):
+    a = data.draw(matrices(12))
+    l = data.draw(st.integers(0, a.cols))
+    full = smith_normal_form(a)
+    empty = IntMatrix.zeros(0, 0)
+    solve = smith_normal_form(a, inverses=False)
+    assert (solve.s, solve.u, solve.v) == (full.s, full.u, full.v)
+    assert solve.u_inv == solve.v_inv == empty
+    cols_only = smith_normal_form(a, rows=False)
+    assert (cols_only.s, cols_only.v, cols_only.v_inv) == (full.s, full.v, full.v_inv)
+    assert cols_only.u == cols_only.u_inv == empty
+    top = smith_normal_form(a, rows=False, inverses=False, v_rows=l)
+    assert top.s == full.s
+    assert top.v == IntMatrix(l, a.cols, full.v.entries[:l])
+    assert top.u == top.u_inv == top.v_inv == empty
+    cut = smith_normal_form(a, v_rows=l)
+    assert (cut.u, cut.u_inv, cut.v) == (full.u, full.u_inv, top.v)
+    assert cut.v_inv == empty
+
+
+def test_truncated_v_on_zero_size_shapes():
+    for rows, cols, l in ((0, 0, 0), (3, 0, 0), (0, 4, 2), (2, 3, 3)):
+        a = IntMatrix.zeros(rows, cols)
+        assert smith_normal_form(a, v_rows=l).v == IntMatrix(l, cols, IntMatrix.identity(cols).entries[:l])
+        assert kernel_basis(a, rows=l) == IntMatrix(l, cols, IntMatrix.identity(cols).entries[:l])
+    with pytest.raises(ValueError):
+        smith_normal_form(IntMatrix.zeros(2, 3), v_rows=4)
+
+
+big_entries = st.integers(-10**6, 10**6) | st.just(0)
+
+
+def test_snf_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def check(data):
+        m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        rows = data.draw(st.lists(st.lists(big_entries, min_size=n, max_size=n), min_size=m, max_size=m))
+        if m > 1 and data.draw(st.booleans()):
+            # a dependent row, the sum of two others, so rank-deficient forms occur
+            rows[0] = [x + y for x, y in zip(rows[1], rows[-1])]
+        ours = [d for d in smith_normal_form(IntMatrix.from_rows(rows), cols=False).diagonal if d]
+        theirs = [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+        assert ours == [d for d in theirs if d]
+
+    check()

@@ -7,17 +7,24 @@ traced benchmark run fails.  These checks read its tables and change nothing.
 
 import importlib
 import importlib.util
+import itertools
 from pathlib import Path
 
 import tatekit.cli  # noqa: F401  (the tracer installs over a loaded CLI)
+from tatekit.matrices import IntMatrix, SmithForm, smith_normal_form
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _tracer_tables():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
+
+
+def _tracer_tables():
+    mod = _tracer()
     return mod.SPANS, mod.CACHES
 
 
@@ -50,3 +57,17 @@ def test_the_benchmark_can_clear_the_parser_cache():
     spec.loader.exec_module(worker)
     assert callable(getattr(tatekit.cli._build_parser, "cache_clear", None))
     assert tatekit.cli._build_parser in worker.lru_caches()
+
+
+def test_every_smith_form_field_is_a_matrix_the_tracer_can_read():
+    # a traced run reads u, v, u_inv and v_inv of every Smith form for
+    # transform_bits_max, whichever of them the caller had tracked
+    bits = _tracer()._bits
+    shapes = [IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12]]), IntMatrix.zeros(0, 0), IntMatrix.zeros(2, 3)]
+    for a, cols, rows, inverses in itertools.product(shapes, *[(True, False)] * 3):
+        for v_rows in (None, 0, a.cols):
+            sf = smith_normal_form(a, cols=cols, rows=rows, inverses=inverses, v_rows=v_rows)
+            assert isinstance(sf, SmithForm)
+            for field in (sf.u, sf.v, sf.u_inv, sf.v_inv):
+                assert isinstance(field, IntMatrix)
+                assert bits(field) >= 0

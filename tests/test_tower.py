@@ -20,6 +20,7 @@ from tatekit.gmodule import (
 )
 from tatekit.sha import GlobalData, PlaceDatum, sha1_S
 from tatekit.tower import (
+    MAX_RHO_BITS,
     TowerConfig,
     default_tower_config,
     degree_exponents,
@@ -91,6 +92,29 @@ def test_degree_exponents_rejects_nonpositive():
     for bad in (0, -3):
         with pytest.raises(DomainError):
             degree_exponents(bad)
+
+
+def _closed_form(order):
+    lam = order.bit_length() - 1
+    rho = (order - 1) * order**lam + 1
+    return lam, rho, rho + lam + 1
+
+
+def test_degree_exponents_unchanged_up_to_64():
+    for order in range(1, 65):
+        triple = degree_exponents(order)
+        assert (triple.lam, triple.rho, triple.d) == _closed_form(order)
+
+
+def test_degree_exponents_bound_on_rho():
+    # orders below 2^64 have rho of at most 64 * 64 bits and pass
+    largest = 2**64 - 1
+    triple = degree_exponents(largest)
+    assert (triple.lam, triple.rho, triple.d) == _closed_form(largest)
+    assert triple.rho.bit_length() <= MAX_RHO_BITS
+    for order in (2**64, 10**200):
+        with pytest.raises(TooLargeError, match=str(MAX_RHO_BITS)):
+            degree_exponents(order)
 
 
 # -- dominating places -----------------------------------------------------------
