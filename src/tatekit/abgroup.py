@@ -12,17 +12,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .errors import MembershipError
 from .matrices import (
     IntMatrix,
     SmithForm,
     block_diagonal,
+    hnf_basis,
     hstack,
     kernel_basis,
-    lattice_basis,
     smith_normal_form,
+    solve_hnf,
     solve_matrix,
     solve_matrix_strict,
     solve_vector,
@@ -318,12 +319,20 @@ class InducedMap:
         self.target = target
         self.matrix = matrix
         if check:
-            # one batched solve: basis images must lie in P_tgt (MembershipError
-            # otherwise), relation images must be zero classes
-            both = hstack([source.basis, source.relations], rows=source.ambient_rank)
-            w = target._class_coords(matrix @ both).transpose().entries
-            if not all(map(target._is_zero_class, w[source.basis.cols :])):
+            # basis images must lie in P_tgt (MembershipError otherwise),
+            # relation images must be zero classes
+            images = itertools.islice(zip(*self._image_coords), source.basis.cols, None)
+            if not all(map(target._is_zero_class, images)):
                 raise ValueError("map does not send relations to relations")
+
+    @cached_property
+    def _image_coords(self) -> tuple[tuple[int, ...], ...]:
+        """Rows of the target class coordinates of the images of the source
+        basis columns, then of its relation columns: one batched solve, which
+        the check and the kernel share."""
+        source = self.source
+        both = hstack([source.basis, source.relations], rows=source.ambient_rank)
+        return self.target._class_coords(self.matrix @ both).entries
 
     def apply(self, x: AbElement) -> AbElement:
         return self.target.project(self.matrix.mul_vec(self.source.lift(x)))
@@ -332,31 +341,36 @@ class InducedMap:
         return self.apply(x)
 
     def kernel(self) -> LatticeQuotient:
-        """Kernel as a subquotient presented inside the source ambient space."""
-        source = self.source
+        """Kernel as a subquotient presented inside the source ambient space.
+
+        The kernel lattice K, in coordinates over the source basis, is
+        presented by its Hermite normal form, and the source relations by the
+        Hermite normal form of their coordinates over it; both depend only on
+        the lattices.  When the source is finite, K contains its relation
+        lattice, whose determinant is the source's order, so both forms are
+        taken modulo a known multiple of their determinant.
+        """
+        source, target = self.source, self.target
         l = source.basis.cols
-        moved = self.matrix @ source.basis
-        block = hstack([moved, self.target.relations], rows=self.target.ambient_rank)
-        top = kernel_basis(block, rows=l)
-        sf = smith_normal_form(top, cols=False)
-        pre = lattice_basis(top, sf)
-        # u @ top is diag(d) on its first k rows and zero below, so a vector
-        # x of the kernel lattice has coordinates d^-1 (u @ x)[:k] over pre
-        k = pre.cols
-        rel = source.rel_in_basis
-        w = (sf.u @ rel).entries
-        if any(map(any, w[k:])):
+        # solved in the target's class coordinates: a class is zero iff each
+        # torsion coordinate is a multiple of its d_i and each free one is 0,
+        # so K is the top of ker [W_tor, diag(d); W_free, 0]
+        w = [row[:l] for row in self._image_coords]
+        tor = target._tor_positions
+        nt = len(tor)
+        rows = [w[i] + (0,) * j + (target._rel_factors[i],) + (0,) * (nt - 1 - j) for j, i in enumerate(tor)]
+        rows += [w[i] + (0,) * nt for i in target._free_positions]
+        top = kernel_basis(IntMatrix(len(rows), l + nt, tuple(rows)), rows=l)
+        size = source.group.size() if source.group.is_finite else None
+        pre = hnf_basis(top, size)
+        coords = solve_hnf(pre, source.rel_in_basis)
+        if coords is None:
             raise MembershipError("map does not send relations into its kernel")
-        coords = []
-        for d, row in zip(sf.diagonal[:k], w):
-            if d != 1:
-                if any(x % d for x in row):
-                    raise MembershipError("map does not send relations into its kernel")
-                row = tuple(x // d for x in row)
-            coords.append(row)
-        return LatticeQuotient(
-            source.ambient_rank, source.basis @ pre, source.relations, rel_in_basis=IntMatrix(k, rel.cols, tuple(coords))
-        )
+        # the index of the relation lattice in K
+        index = None if size is None else size // prod(pre.entries[i][i] for i in range(l))
+        rel = hnf_basis(coords, index)
+        basis = source.basis @ pre
+        return LatticeQuotient(source.ambient_rank, basis, basis @ rel, rel_in_basis=rel)
 
     def is_identity_on(self, quotient: LatticeQuotient) -> bool:
         """True when source == target == quotient and the map fixes every generator."""

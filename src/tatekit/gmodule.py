@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 from .abgroup import AbElement, InducedMap, LatticeQuotient, cokernel
 from .errors import SubgroupMismatchError
-from .matrices import IntMatrix, block_diagonal, hstack, kernel_basis, vstack
+from .matrices import IntMatrix, block_diagonal, hnf_basis, hstack, kernel_basis, vstack
 
 __all__ = [
     "FiniteGroup",
@@ -586,14 +586,15 @@ def permutation_module(action: PermAction, coeff: GModule) -> GModule:
     return GModule(coeff.group, n, tuple(mats))
 
 
-def degree_zero_submodule(action: PermAction, coeff: GModule) -> tuple[GModule, IntMatrix, GModule]:
+def degree_zero_submodule(action: PermAction, coeff: GModule) -> tuple[GModule, IntMatrix]:
     """Kernel of the total coefficient-sum map on a permutation module.
 
-    Returns (submodule in its own basis, basis matrix into the big module,
-    the big module itself).  Basis vectors are e_(w,i) - e_(last,i) for every
-    point w except the last.
+    Returns (submodule in its own basis, basis matrix into the permutation
+    module of :func:`permutation_module`, which is not built).  Basis vectors
+    are e_(w,i) - e_(last,i) for every point w except the last.
     """
-    big = permutation_module(action, coeff)
+    if action.group != coeff.group:
+        raise ValueError("action and coefficients must share the group")
     r = coeff.rank
     deg = action.degree
     sub_rank = max(deg - 1, 0) * r
@@ -606,10 +607,9 @@ def degree_zero_submodule(action: PermAction, coeff: GModule) -> tuple[GModule, 
             cols.append(col)
     basis = IntMatrix(deg * r, sub_rank, tuple(tuple(c[t] for c in cols) for t in range(deg * r)))
     mats = tuple(
-        degree_zero_map(action.images[g], deg, coeff.action[g]) for g in big.group.elements()
+        degree_zero_map(action.images[g], deg, coeff.action[g]) for g in coeff.group.elements()
     )
-    sub = GModule(big.group, sub_rank, mats)
-    return sub, basis, big
+    return GModule(coeff.group, sub_rank, mats), basis
 
 
 def degree_zero_map(images, target_degree: int, block: IntMatrix) -> IntMatrix:
@@ -646,11 +646,15 @@ def degree_zero_map(images, target_degree: int, block: IntMatrix) -> IntMatrix:
 
 @lru_cache(maxsize=512)
 def coinvariants(module: GModule) -> LatticeQuotient:
-    """M_G = Z^rank / span{ (g - 1) m }, with projection and lift attached."""
+    """M_G = Z^rank / span{ (g - 1) m }, with projection and lift attached.
+
+    The relations are taken over ``generating_set()`` only, which spans the
+    same lattice: (gs - 1) m = (g - 1)(s m) + (s - 1) m.  They are presented
+    by their Hermite normal form, so the quotient depends only on that lattice.
+    """
     r = module.rank
-    blocks = [module.action[g] - IntMatrix.identity(r) for g in module.group.elements()]
-    relations = hstack(blocks, rows=r)
-    return cokernel(relations)
+    blocks = [module.action[g] - IntMatrix.identity(r) for g in module.group.generating_set()]
+    return cokernel(hnf_basis(hstack(blocks, rows=r)))
 
 
 @lru_cache(maxsize=256)

@@ -13,7 +13,7 @@ torsion coinvariant groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .abgroup import (
     AbElement,
@@ -32,6 +32,7 @@ from .gmodule import (
     degree_zero_map,
     degree_zero_submodule,
     disjoint_union_action,
+    permutation_module,
     quotient_group,
     restrict_module,
     torsion_coinvariants,
@@ -97,9 +98,13 @@ class PlaceModule:
     data: GlobalData
     action: PermAction
     points: tuple[tuple[str, int], ...]
-    big: GModule
     sub: GModule
     basis: IntMatrix
+
+    @cached_property
+    def big(self) -> GModule:
+        """The dense M[S], built on first read; only ``sha1_S`` reads it."""
+        return permutation_module(self.action, self.data.module)
 
     def fiber(self, label: str) -> tuple[int, ...]:
         return tuple(i for i, (lab, _) in enumerate(self.points) if lab == label)
@@ -117,8 +122,8 @@ def build_place_module(data: GlobalData) -> PlaceModule:
         fibers.append(coset_action(data.theta, p.decomposition))
         points.extend((p.label, rep) for rep in p.decomposition.left_reps)
     action = disjoint_union_action(fibers) if fibers else _empty_action(data.theta)
-    sub, basis, big = degree_zero_submodule(action, data.module)
-    return PlaceModule(data, action, tuple(points), big, sub, basis)
+    sub, basis = degree_zero_submodule(action, data.module)
+    return PlaceModule(data, action, tuple(points), sub, basis)
 
 
 @dataclass
@@ -162,7 +167,7 @@ def _shapiro_matrix(pm: PlaceModule, label: str) -> IntMatrix:
     fiber over the place, zero elsewhere.  Expressed on the degree-zero basis."""
     data = pm.data
     r = data.module.rank
-    n_big = pm.big.rank
+    n_big = len(pm.points) * r
     rows = [[0] * n_big for _ in range(r)]
     for w in pm.fiber(label):
         rep = pm.points[w][1]

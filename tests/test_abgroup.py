@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from tatekit.gmodule import (
     norm_induced_map,
     trivial_module,
 )
-from tatekit.matrices import hstack, smith_normal_form
+from tatekit.matrices import hstack, kernel_basis, lattice_basis, smith_normal_form, solve_matrix
 from tatekit.sha import sha1_S, sha1_shapiro
 
 from test_sha import klein_data, quarter_turn_data
@@ -302,3 +304,94 @@ def test_a_derived_quotient_takes_its_basis_smith_form_on_first_solve():
         assert "_basis_sf" not in vars(sub)
         assert sub.contains_vector(sub.basis.column(0))
         assert "_basis_sf" in vars(sub)
+
+
+# -- presentations that depend only on the lattices ---------------------------------
+
+
+def _presentation(q):
+    return (q.basis, q.relations, q.rel_in_basis, q.snf.s, q.snf.u, q.snf.u_inv, q.generator_vectors())
+
+
+def _unimodular(n):
+    """Upper unitriangular, so unimodular, and far from the identity."""
+    rows = (tuple(int(i == j) + (i < j) * (j - i + 1) * (-1) ** j for j in range(n)) for i in range(n))
+    return IntMatrix(n, n, tuple(rows))
+
+
+def _other_generating_sets(rel):
+    """Other column sets spanning the lattice rel's columns span."""
+    return (rel @ _unimodular(rel.cols), hstack([rel, rel]), hstack([rel.scaled(-1), IntMatrix.zeros(rel.rows, 1)]))
+
+
+def test_kernels_do_not_depend_on_the_generators_of_either_relation_lattice(corpus):
+    cases = []
+    for name, data in (("klein", klein_data()), ("quarter", quarter_turn_data())):
+        res = sha1_S(data)
+        pm = res.place_module
+        r = pm.big.rank
+        every = hstack([m - IntMatrix.identity(r) for m in pm.big.action], rows=r)
+        cases.append((name, res.domain, pm.basis, every))
+    for name, mname, module in _corpus_modules(corpus):
+        if module.rank <= 8:
+            co = coinvariants(module)
+            cases.append((f"{name}/{mname}", co, IntMatrix.identity(module.rank).scaled(2), co.relations))
+    for label, source, matrix, rel in cases:
+        ref = InducedMap(source, cokernel(rel), matrix).kernel()
+        for other in _other_generating_sets(rel):
+            assert _presentation(InducedMap(source, cokernel(other), matrix).kernel()) == _presentation(ref), label
+        if source.basis == IntMatrix.identity(source.ambient_rank):
+            # and on the source side: other generators of its relation lattice
+            for other in _other_generating_sets(source.relations):
+                kernel = InducedMap(cokernel(other), cokernel(rel), matrix).kernel()
+                assert _presentation(kernel) == _presentation(ref), label
+
+
+def _small_matrix(data, rows, cols):
+    entry = st.integers(-4, 4)
+    return IntMatrix(rows, cols, tuple(tuple(data.draw(entry) for _ in range(cols)) for _ in range(rows)))
+
+
+@given(st.data())
+def test_kernel_lattice_equals_the_ambient_block_route(data):
+    # the kernel in the target's class coordinates against the lattice of the
+    # top rows of ker [M P_src | R_tgt], solved in the ambient space
+    s, t = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    m = _small_matrix(data, t, s)
+    r_src = _small_matrix(data, s, data.draw(st.integers(0, s + 1)))
+    r_tgt = hstack([m @ r_src, _small_matrix(data, t, data.draw(st.integers(0, t)))])
+    source = cokernel(r_src)
+    if data.draw(st.booleans()):
+        source = source.torsion()
+    target = cokernel(r_tgt)
+    if data.draw(st.booleans()):  # a target basis other than the identity
+        gens = hstack([m, r_tgt, _small_matrix(data, t, 1)])
+        target = LatticeQuotient(t, lattice_basis(gens), r_tgt)
+    ker = InducedMap(source, target, m).kernel()
+    l = source.basis.cols
+    block = kernel_basis(hstack([m @ source.basis, r_tgt]))
+    old = source.basis @ IntMatrix(l, block.cols, block.entries[:l])
+    assert solve_matrix(ker.basis, old) is not None and solve_matrix(old, ker.basis) is not None
+    assert ker.basis.cols == smith_normal_form(old, cols=False).rank
+    assert ker.basis @ ker.rel_in_basis == ker.relations
+    assert solve_matrix(ker.relations, source.relations) is not None
+    assert solve_matrix(source.relations, ker.relations) is not None
+
+
+def test_kernel_solves_only_the_targets_torsion_and_free_rows(monkeypatch):
+    abgroup = importlib.import_module("tatekit.abgroup")
+    shapes = []
+    real = abgroup.kernel_basis
+
+    def spy(a, rows=None):
+        shapes.append((a.rows, a.cols, rows))
+        return real(a, rows)
+
+    for data in (klein_data(), quarter_turn_data()):
+        monkeypatch.setattr(abgroup, "kernel_basis", spy)
+        res = sha1_S(data)
+        monkeypatch.undo()
+        target = coinvariants(res.place_module.big).group
+        ntor, l = len(target.invariant_factors), res.domain.basis.cols
+        assert shapes.pop() == (ntor + target.free_rank, l + ntor, l)
+        assert not shapes

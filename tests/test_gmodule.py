@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from tatekit.abgroup import cokernel
 from tatekit.errors import SubgroupMismatchError
 from tatekit.gmodule import (
     augmentation_kernel_module,
@@ -13,6 +14,7 @@ from tatekit.gmodule import (
     cyclic,
     degree_zero_map,
     degree_zero_submodule,
+    direct_sum_modules,
     disjoint_union_action,
     dihedral,
     finite_group,
@@ -37,7 +39,7 @@ from tatekit.gmodule import (
     trivial_module,
     PermAction,
 )
-from tatekit.matrices import IntMatrix, solve_matrix_strict
+from tatekit.matrices import IntMatrix, hnf_basis, hstack, solve_matrix_strict
 from tatekit.tower import enumerate_subgroups
 
 
@@ -197,7 +199,8 @@ def test_degree_zero_action_intertwines_with_basis(corpus):
         subs = [subgroup(g, [g.identity]), generated_subgroup(g, gens[:1])]
         action = disjoint_union_action([coset_action(g, h) for h in subs])
         for coeff in coeffs:
-            sub, basis, big = degree_zero_submodule(action, coeff)
+            sub, basis = degree_zero_submodule(action, coeff)
+            big = permutation_module(action, coeff)
             assert basis.cols == sub.rank == (action.degree - 1) * coeff.rank
             for e in g.elements():
                 assert basis @ sub.action[e] == big.action[e] @ basis, (name, e)
@@ -215,7 +218,8 @@ def test_degree_zero_submodule_of_one_point_or_rank_zero_coefficients(corpus):
             (disjoint_union_action([one_point, regular]), trivial_module(g, 0)),
         ]
         for action, coeff in cases:
-            sub, basis, big = degree_zero_submodule(action, coeff)
+            sub, basis = degree_zero_submodule(action, coeff)
+            big = permutation_module(action, coeff)
             assert sub.rank == basis.cols == (action.degree - 1) * coeff.rank == 0
             assert basis.rows == big.rank == action.degree * coeff.rank
             assert all(m == IntMatrix.zeros(0, 0) for m in sub.action)
@@ -415,3 +419,19 @@ def test_transfer_rejects_foreign_subgroup():
     alien = generated_subgroup(klein_four(), [1])
     with pytest.raises(SubgroupMismatchError):
         transfer_matrix(m, alien)
+
+
+def test_coinvariants_over_generators_equal_those_over_every_element(corpus):
+    # (gs - 1) m = (g - 1)(s m) + (s - 1) m, so both relation sets span one
+    # lattice, and its Hermite normal form makes the presentations equal too
+    for name, g in corpus.items():
+        aug = augmentation_kernel_module(g)
+        for module in (trivial_module(g, 2), aug, direct_sum_modules([aug, trivial_module(g, 1)])):
+            r = module.rank
+            every = hstack([module.action[e] - IntMatrix.identity(r) for e in g.elements()], rows=r)
+            q, ref = coinvariants(module), cokernel(hnf_basis(every))
+            assert (q.basis, q.relations, q.snf.s, q.snf.u, q.snf.u_inv) == (
+                ref.basis, ref.relations, ref.snf.s, ref.snf.u, ref.snf.u_inv
+            ), (name, r)
+            assert q.generator_vectors() == ref.generator_vectors(), (name, r)
+            assert q.group == cokernel(every).group, (name, r)

@@ -9,7 +9,9 @@ from tatekit import IntMatrix, kernel_basis, lattice_basis, smith_normal_form
 from tatekit.errors import MembershipError
 from tatekit.matrices import (
     block_diagonal,
+    hnf_basis,
     hstack,
+    solve_hnf,
     solve_matrix,
     solve_matrix_strict,
     solve_vector,
@@ -288,3 +290,130 @@ def test_snf_diagonal_matches_sympy():
         assert ours == [d for d in theirs if d]
 
     check()
+
+
+# -- Hermite normal form ---------------------------------------------------------
+
+
+def _is_hnf(h):
+    """Cohen's column form: each column's lowest nonzero entry is a positive
+    pivot, pivot rows rise left to right, and pivot rows are reduced into
+    [0, pivot) right of the pivot."""
+    pivots = []
+    for j, col in enumerate(h.columns()):
+        p = max((i for i, x in enumerate(col) if x), default=None)
+        if p is None or col[p] <= 0 or (pivots and p <= pivots[-1]):
+            return False
+        pivots.append(p)
+    return all(0 <= h.entry(p, k) < h.entry(p, j) for j, p in enumerate(pivots) for k in range(j + 1, h.cols))
+
+
+def _same_lattice(a, b):
+    return solve_matrix(a, b) is not None and solve_matrix(b, a) is not None
+
+
+hnf_entries = st.integers(-12, 12) | st.just(0)
+
+
+def hnf_inputs():
+    """Matrices up to 6 x 8, empty shapes included."""
+    return st.integers(0, 6).flatmap(
+        lambda m: st.integers(0, 8).flatmap(
+            lambda n: st.lists(st.lists(hnf_entries, min_size=n, max_size=n), min_size=m, max_size=m).map(
+                lambda rows: IntMatrix(m, n, tuple(map(tuple, rows)))
+            )
+        )
+    )
+
+
+def test_hnf_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    def theirs(rows, **kw):
+        # sympy keeps Cohen's convention and drops the zero columns too; only
+        # the empty result needs its row count back
+        h = hermite_normal_form(sympy.Matrix(rows), **kw)
+        return IntMatrix(len(rows), h.cols, tuple(tuple(int(x) for x in h.row(i)) for i in range(h.rows)))
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def check(data):
+        m, n = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 14))
+        rows = data.draw(st.lists(st.lists(hnf_entries, min_size=n, max_size=n), min_size=m, max_size=m))
+        if m > 1 and data.draw(st.booleans()):
+            rows[0] = [x - 2 * y for x, y in zip(rows[1], rows[-1])]  # rank-deficient forms too
+        a = IntMatrix.from_rows(rows)
+        h = theirs(rows)
+        assert hnf_basis(a) == h
+        if h.cols == m:  # full rank: the modular form with any multiple of the determinant
+            det = math.prod(h.entry(i, i) for i in range(m))
+            assert hnf_basis(a, det * data.draw(st.integers(1, 6))) == h
+
+    check()
+
+
+@given(hnf_inputs(), st.data())
+def test_hnf_depends_only_on_the_lattice(a, data):
+    h = hnf_basis(a)
+    assert _is_hnf(h)
+    n = a.cols
+    # a @ U for a product of elementary unimodular column operations
+    u = [list(r) for r in IntMatrix.identity(n).entries]
+    for _ in range(data.draw(st.integers(0, 3 * n))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        q = data.draw(st.integers(-3, 3))
+        if i != j:
+            for row in u:
+                row[j] += q * row[i]
+        elif q < 0:
+            for row in u:
+                row[i] = -row[i]
+    same = [a @ IntMatrix(n, n, tuple(map(tuple, u)))] if n else []
+    order = data.draw(st.permutations(range(n)))
+    cols = a.columns()
+    same.append(hstack([IntMatrix(a.rows, 1, tuple((x,) for x in cols[j])) for j in order], rows=a.rows))
+    same.append(hstack([a, a, IntMatrix.zeros(a.rows, 2)]))
+    for b in same:
+        assert hnf_basis(b) == h
+
+
+@given(hnf_inputs())
+def test_hnf_and_its_input_span_each_other(a):
+    h = hnf_basis(a)
+    assert _same_lattice(h, a)
+    assert h.cols == smith_normal_form(a, cols=False).rank
+    x = solve_hnf(h, a)
+    assert h @ x == a
+
+
+def test_hnf_golden_and_bounded_entries():
+    a = IntMatrix.from_rows([[2, 3, 6, 2], [5, 6, 1, 6], [8, 3, 1, 1]])
+    assert hnf_basis(a) == IntMatrix.identity(3)
+    a = IntMatrix.from_rows([[4, 6, 10], [0, 8, 2], [0, 0, 12]])
+    h = hnf_basis(a)
+    assert h == IntMatrix.from_rows([[4, 2, 2], [0, 8, 2], [0, 0, 12]])
+    assert _is_hnf(h) and _same_lattice(h, a)
+    assert hnf_basis(a, 4 * abs(a.det())) == h
+    assert hnf_basis(IntMatrix.from_rows([[2, 4], [1, 2]])) == IntMatrix.from_rows([[2], [1]])
+    with pytest.raises(ValueError):
+        hnf_basis(a, 0)
+
+
+def test_hnf_on_zero_size_shapes():
+    for rows, cols in ((0, 0), (3, 0), (0, 4), (2, 3)):
+        z = IntMatrix.zeros(rows, cols)
+        assert hnf_basis(z) == IntMatrix.zeros(rows, 0)
+        assert solve_hnf(IntMatrix.zeros(rows, 0), z) == IntMatrix.zeros(0, cols)
+    assert hnf_basis(IntMatrix.zeros(0, 3), 5) == IntMatrix.zeros(0, 0)
+    assert hnf_basis(IntMatrix.zeros(2, 0), 1) == IntMatrix.identity(2)
+
+
+def test_solve_hnf_rejects_vectors_outside_the_lattice():
+    h = hnf_basis(IntMatrix.from_rows([[2, 1], [0, 3]]))
+    assert solve_hnf(h, IntMatrix.from_rows([[1], [0]])) is None
+    assert solve_hnf(hnf_basis(IntMatrix.from_rows([[1], [1]])), IntMatrix.from_rows([[1], [2]])) is None
+    y = IntMatrix.from_rows([[3, 1], [3, 3]])
+    assert h @ solve_hnf(h, y) == y
+    with pytest.raises(ValueError):
+        solve_hnf(h, IntMatrix.zeros(3, 1))

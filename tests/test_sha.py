@@ -14,6 +14,7 @@ from tatekit.gmodule import (
     generated_subgroup,
     klein_four,
     module_from_generators,
+    permutation_module,
     pullback_module,
     quotient_group,
     subgroup,
@@ -62,6 +63,18 @@ def test_place_module_geometry():
     assert pm.sub.rank == 5 * 3
     for lab in ("v1", "v2", "v3"):
         assert len(pm.fiber(lab)) == 2
+
+
+def test_place_module_builds_the_dense_module_only_when_read(corpus):
+    g = corpus["S3"]
+    data = GlobalData(g, augmentation_kernel_module(g), (PlaceDatum("v", generated_subgroup(g, [1])),))
+    build_place_module.cache_clear()
+    pm = build_place_module(data)
+    assert "big" not in vars(pm)
+    sha1_shapiro(data)
+    assert "big" not in vars(pm)
+    assert pm.big == permutation_module(pm.action, data.module)
+    assert "big" in vars(pm)
 
 
 def test_trivial_decomposition_fiber_is_the_whole_group():
@@ -115,6 +128,31 @@ def test_klein_kernel_matches_enumeration_oracle():
         if target.project(pm.basis.mul_vec(domain.lift(x))).is_zero()
     )
     assert dying == sha1_S(data).order
+
+
+def _dying_classes(res):
+    """The enumeration oracle of the Klein test, as a set: every torsion
+    class of the degree-zero part that dies in the full module."""
+    pm, domain = res.place_module, res.domain
+    target = coinvariants(pm.big)
+    return {x for x in domain.group.elements() if target.project(pm.basis.mul_vec(domain.lift(x))).is_zero()}
+
+
+@pytest.mark.parametrize("name", ["D4", "Z2^3", "Q8"])
+def test_order_eight_rungs_agree_across_forms_and_with_enumeration(corpus, name):
+    g = corpus[name]
+    places = (
+        PlaceDatum("one", subgroup(g, [g.identity])),
+        PlaceDatum("gen", generated_subgroup(g, g.generating_set()[:1])),
+    )
+    data = GlobalData(g, augmentation_kernel_module(g), places)
+    s_form, shapiro = sha1_S(data), sha1_shapiro(data)
+    assert s_form.group_invariants == shapiro.group_invariants
+    assert s_form.generators == shapiro.generators  # both kernels are presented by their lattices alone
+    assert s_form.domain.group.size() <= 64
+    dying = _dying_classes(s_form)
+    assert len(dying) == s_form.order
+    assert all(s_form.domain.project(v) in dying for v in s_form.generators)
 
 
 def test_cyclic_configuration_has_trivial_kernel():
