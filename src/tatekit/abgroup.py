@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, prod
+from math import gcd
 
 from .errors import MembershipError
 from .matrices import (
@@ -23,7 +23,6 @@ from .matrices import (
     hstack,
     kernel_basis,
     smith_normal_form,
-    solve_hnf,
     solve_matrix,
     solve_matrix_strict,
     solve_vector,
@@ -346,9 +345,7 @@ class InducedMap:
         The kernel lattice K, in coordinates over the source basis, is
         presented by its Hermite normal form, and the source relations by the
         Hermite normal form of their coordinates over it; both depend only on
-        the lattices.  When the source is finite, K contains its relation
-        lattice, whose determinant is the source's order, so both forms are
-        taken modulo a known multiple of their determinant.
+        the lattices.
         """
         source, target = self.source, self.target
         l = source.basis.cols
@@ -360,15 +357,11 @@ class InducedMap:
         nt = len(tor)
         rows = [w[i] + (0,) * j + (target._rel_factors[i],) + (0,) * (nt - 1 - j) for j, i in enumerate(tor)]
         rows += [w[i] + (0,) * nt for i in target._free_positions]
-        top = kernel_basis(IntMatrix(len(rows), l + nt, tuple(rows)), rows=l)
-        size = source.group.size() if source.group.is_finite else None
-        pre = hnf_basis(top, size)
-        coords = solve_hnf(pre, source.rel_in_basis)
+        pre = hnf_basis(kernel_basis(IntMatrix(len(rows), l + nt, tuple(rows)), rows=l))
+        coords = solve_matrix(pre, source.rel_in_basis)
         if coords is None:
             raise MembershipError("map does not send relations into its kernel")
-        # the index of the relation lattice in K
-        index = None if size is None else size // prod(pre.entries[i][i] for i in range(l))
-        rel = hnf_basis(coords, index)
+        rel = hnf_basis(coords)
         basis = source.basis @ pre
         return LatticeQuotient(source.ambient_rank, basis, basis @ rel, rel_in_basis=rel)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
-from math import gcd
 
 from .errors import MembershipError
 
@@ -25,7 +24,6 @@ __all__ = [
     "solve_matrix",
     "lattice_basis",
     "hnf_basis",
-    "solve_hnf",
     "hstack",
     "vstack",
     "block_diagonal",
@@ -471,7 +469,7 @@ def solve_matrix_strict(a: IntMatrix, y: IntMatrix, sf: SmithForm | None = None)
     return x
 
 
-def hnf_basis(a: IntMatrix, modulus: int | None = None) -> IntMatrix:
+def hnf_basis(a: IntMatrix) -> IntMatrix:
     """Column Hermite normal form of the lattice a's columns span, as a basis.
 
     The convention is Cohen's (*A Course in Computational Algebraic Number
@@ -479,27 +477,13 @@ def hnf_basis(a: IntMatrix, modulus: int | None = None) -> IntMatrix:
     column's pivot is its lowest nonzero entry and is positive, pivot rows
     rise from left to right, and in each pivot row the entries right of the
     pivot lie in [0, pivot).  Zero columns are dropped, so the result
-    depends only on the lattice.  Total on every input shape.
-
-    ``modulus``, when given, is a positive multiple of the lattice's
-    determinant; the lattice must then have full rank, so it contains
-    modulus * Z^rows, and every entry is kept reduced modulo the part of the
-    determinant still to come (Domich-Kannan-Trotter; Cohen, Alg. 2.4.8).
-    Either way the columns already placed are reduced in each pivot row as
-    soon as its pivot is found (Cohen, Alg. 2.4.5).
+    depends only on the lattice.  Total on every input shape.  The columns
+    already placed are reduced in each pivot row as soon as its pivot is
+    found (Cohen, Alg. 2.4.5).
     """
     m = a.rows
-    if modulus is not None and modulus < 1:
-        raise ValueError("modulus must be positive")
-    r = modulus
-
-    def reduced(cols):
-        return [c for c in ([x % r for x in c] for c in cols) if any(c)]
-
     # the columns still to place are zero below row i, and hold rows 0..i only
     cols = [list(c) for c in zip(*a.entries) if any(c)] if m else []
-    if r is not None:
-        cols = reduced(cols)
     found: list[list[int]] = []  # the placed pivot columns, lowest pivot row last
     for i in range(m - 1, -1, -1):
         # Euclid on row i: reduce by the smallest entry until one column is left
@@ -511,8 +495,6 @@ def hnf_basis(a: IntMatrix, modulus: int | None = None) -> IntMatrix:
             for c in live:
                 if c is not piv:
                     c[:] = _axpy(c, -(c[i] // p), piv)
-                    if r is not None:
-                        c[:] = [x % r for x in c]
                     touched.append(c)
             live = [c for c in live if c[i]]
         piv = live[0] if live else None
@@ -520,20 +502,9 @@ def hnf_basis(a: IntMatrix, modulus: int | None = None) -> IntMatrix:
         cols = [c for c in cols if c is not piv and id(c) not in gone]
         for c in cols:
             c.pop()  # row i is zero in every column left
-        if r is not None:
-            # the pivot is g = gcd(p, r), with u * p == g modulo r; what the
-            # lattice holds above row i is then known modulo r // g
-            p = piv[i] if piv is not None else 0
-            g = gcd(p, r)
-            r //= g
-            u = pow(p // g, -1, r) if r > 1 else 0
-            piv = [(u * x) % r for x in piv[:i]] if piv is not None else [0] * i
-            piv.append(g)
-            if g > 1:
-                cols = reduced(cols)
-        elif piv is None:
+        if piv is None:
             continue
-        elif piv[i] < 0:
+        if piv[i] < 0:
             piv = [-x for x in piv]
         p = piv[i]
         for c in found:
@@ -544,38 +515,5 @@ def hnf_basis(a: IntMatrix, modulus: int | None = None) -> IntMatrix:
     return IntMatrix(m, len(found), tuple(zip(*found)) if found else ((),) * m)
 
 
-def solve_hnf(h: IntMatrix, y: IntMatrix) -> IntMatrix | None:
-    """Integral X with h @ X == y for h from ``hnf_basis``, or None when some
-    column of y is not in h's column span; by back-substitution."""
-    if y.rows != h.rows:
-        raise ValueError("right-hand side has the wrong number of rows")
-    hcols = [list(c) for c in zip(*h.entries)] if h.rows else [[] for _ in range(h.cols)]
-    pivots = [max(i for i, x in enumerate(c) if x) for c in hcols]
-    out = []
-    for col in (zip(*y.entries) if y.rows else repeat((), y.cols)):
-        col = list(col)
-        x = [0] * h.cols
-        for j in range(h.cols - 1, -1, -1):
-            t, p = col[pivots[j]], hcols[j][pivots[j]]
-            if t % p:
-                return None
-            if t:
-                x[j] = t // p
-                col = _axpy(col, -x[j], hcols[j])
-        if any(col):
-            return None
-        out.append(x)
-    return IntMatrix(h.cols, y.cols, tuple(zip(*out)) if out else ((),) * h.cols)
-
-
-def lattice_basis(generators: IntMatrix) -> IntMatrix:
-    """Independent basis (as columns) of the lattice the columns generate.
-
-    Column i is d_i times column i of u_inv, for each nonzero invariant
-    factor d_i.
-    """
-    sf = smith_normal_form(generators, cols=False)
-    diag = sf.diagonal[: sf.rank]
-    return IntMatrix(
-        generators.rows, len(diag), tuple(tuple(map(operator.mul, diag, row)) for row in sf.u_inv.entries)
-    )
+# an independent basis (as columns) of the lattice the columns generate
+lattice_basis = hnf_basis

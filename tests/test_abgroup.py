@@ -151,6 +151,16 @@ def test_induced_map_rejects_basis_images_outside_target_lattice():
     assert doubling(z4.group.element((1,))) == evens.group.element((1,))
 
 
+def test_kernel_of_an_unchecked_non_map_raises():
+    # the source relations do not land in the kernel lattice, so there is no
+    # kernel to present: Z/2 -> Z/4 and 2Z/8Z -> Z/16, each x -> x
+    z2, z4, z16 = (cokernel(IntMatrix.from_rows([[n]])) for n in (2, 4, 16))
+    evens = LatticeQuotient(1, IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[8]]))
+    for source, target in ((z2, z4), (evens, z16)):
+        with pytest.raises(MembershipError):
+            InducedMap(source, target, IntMatrix.from_rows([[1]]), check=False).kernel()
+
+
 small = st.integers(min_value=-6, max_value=6)
 
 

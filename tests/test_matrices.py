@@ -11,7 +11,6 @@ from tatekit.matrices import (
     block_diagonal,
     hnf_basis,
     hstack,
-    solve_hnf,
     solve_matrix,
     solve_matrix_strict,
     solve_vector,
@@ -346,9 +345,6 @@ def test_hnf_matches_sympy():
         a = IntMatrix.from_rows(rows)
         h = theirs(rows)
         assert hnf_basis(a) == h
-        if h.cols == m:  # full rank: the modular form with any multiple of the determinant
-            det = math.prod(h.entry(i, i) for i in range(m))
-            assert hnf_basis(a, det * data.draw(st.integers(1, 6))) == h
 
     check()
 
@@ -383,8 +379,6 @@ def test_hnf_and_its_input_span_each_other(a):
     h = hnf_basis(a)
     assert _same_lattice(h, a)
     assert h.cols == smith_normal_form(a, cols=False).rank
-    x = solve_hnf(h, a)
-    assert h @ x == a
 
 
 def test_hnf_golden_and_bounded_entries():
@@ -394,26 +388,11 @@ def test_hnf_golden_and_bounded_entries():
     h = hnf_basis(a)
     assert h == IntMatrix.from_rows([[4, 2, 2], [0, 8, 2], [0, 0, 12]])
     assert _is_hnf(h) and _same_lattice(h, a)
-    assert hnf_basis(a, 4 * abs(a.det())) == h
     assert hnf_basis(IntMatrix.from_rows([[2, 4], [1, 2]])) == IntMatrix.from_rows([[2], [1]])
-    with pytest.raises(ValueError):
-        hnf_basis(a, 0)
 
 
 def test_hnf_on_zero_size_shapes():
     for rows, cols in ((0, 0), (3, 0), (0, 4), (2, 3)):
         z = IntMatrix.zeros(rows, cols)
         assert hnf_basis(z) == IntMatrix.zeros(rows, 0)
-        assert solve_hnf(IntMatrix.zeros(rows, 0), z) == IntMatrix.zeros(0, cols)
-    assert hnf_basis(IntMatrix.zeros(0, 3), 5) == IntMatrix.zeros(0, 0)
-    assert hnf_basis(IntMatrix.zeros(2, 0), 1) == IntMatrix.identity(2)
 
-
-def test_solve_hnf_rejects_vectors_outside_the_lattice():
-    h = hnf_basis(IntMatrix.from_rows([[2, 1], [0, 3]]))
-    assert solve_hnf(h, IntMatrix.from_rows([[1], [0]])) is None
-    assert solve_hnf(hnf_basis(IntMatrix.from_rows([[1], [1]])), IntMatrix.from_rows([[1], [2]])) is None
-    y = IntMatrix.from_rows([[3, 1], [3, 3]])
-    assert h @ solve_hnf(h, y) == y
-    with pytest.raises(ValueError):
-        solve_hnf(h, IntMatrix.zeros(3, 1))
