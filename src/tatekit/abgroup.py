@@ -357,7 +357,7 @@ class InducedMap:
         nt = len(tor)
         rows = [w[i] + (0,) * j + (target._rel_factors[i],) + (0,) * (nt - 1 - j) for j, i in enumerate(tor)]
         rows += [w[i] + (0,) * nt for i in target._free_positions]
-        pre = hnf_basis(kernel_basis(IntMatrix(len(rows), l + nt, tuple(rows)), rows=l))
+        pre = kernel_basis(IntMatrix(len(rows), l + nt, tuple(rows)), rows=l)
         coords = solve_matrix(pre, source.rel_in_basis)
         if coords is None:
             raise MembershipError("map does not send relations into its kernel")

@@ -664,7 +664,7 @@ def torsion_coinvariants(module: GModule) -> LatticeQuotient:
 
 
 def invariants(module: GModule) -> IntMatrix:
-    """Column basis of the fixed sublattice M^G."""
+    """Hermite normal form basis (as columns) of the fixed sublattice M^G."""
     r = module.rank
     gens = module.group.generating_set()
     stacked = vstack(
@@ -702,9 +702,13 @@ def tate_h_minus1(module: GModule) -> LatticeQuotient:
 
 
 def tate_h0(module: GModule) -> LatticeQuotient:
-    """Fixed lattice modulo norms: M^G / N(M)."""
+    """Fixed lattice modulo norms: M^G / N(M).
+
+    Both lattices are presented by their Hermite normal forms, so the
+    quotient depends only on them.
+    """
     basis = invariants(module)
-    return LatticeQuotient(module.rank, basis, norm_matrix(module))
+    return LatticeQuotient(module.rank, basis, hnf_basis(norm_matrix(module)))
 
 
 # -- transfer ------------------------------------------------------------

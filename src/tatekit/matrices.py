@@ -201,8 +201,7 @@ class SmithForm:
     The inverses of the transforms are tracked during elimination so that
     lattice computations (saturation, lifts) never need a separate matrix
     inversion step.  A transform its caller does not read is not tracked
-    and is an empty 0 x 0 matrix here; ``v`` may also hold only its first
-    rows (see ``smith_normal_form``).
+    and is an empty 0 x 0 matrix here (see ``smith_normal_form``).
     """
 
     u: IntMatrix
@@ -221,11 +220,10 @@ class SmithForm:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _identity_rows(n: int, width: int | None = None) -> list[list[int]]:
-    """Rows of the n x n identity, each cut to its first ``width`` entries."""
-    width = n if width is None else width
-    rows = [[0] * width for _ in range(n)]
-    for i in range(min(n, width)):
+def _identity_rows(n: int) -> list[list[int]]:
+    """Rows of the n x n identity, as lists."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
         rows[i][i] = 1
     return rows
 
@@ -239,14 +237,7 @@ def _axpy(x, q: int, y) -> list[int]:
     return list(map(operator.add, x, map(operator.mul, repeat(q), y)))
 
 
-def smith_normal_form(
-    a: IntMatrix,
-    *,
-    cols: bool = True,
-    rows: bool = True,
-    inverses: bool = True,
-    v_rows: int | None = None,
-) -> SmithForm:
+def smith_normal_form(a: IntMatrix, *, cols: bool = True, inverses: bool = True) -> SmithForm:
     """Smith normal form over the integers.
 
     Returns u, s, v, u_inv, v_inv with u @ a @ v == s, s diagonal with
@@ -258,33 +249,25 @@ def smith_normal_form(
     and an untracked one is returned as a 0 x 0 matrix:
 
     - ``cols=False`` drops v and v_inv (lattice quotients read u and u_inv);
-    - ``rows=False`` drops u and u_inv (kernels read v alone);
-    - ``inverses=False`` drops u_inv and v_inv (solves read u and v);
-    - ``v_rows=l`` keeps the first l rows of v only, and drops v_inv.  A
-      column operation changes each row of v on its own, so these rows are
-      exactly the top of the full v.
+    - ``inverses=False`` drops u_inv and v_inv (solves read u and v).
     """
     m, n = a.rows, a.cols
-    if v_rows is not None and not 0 <= v_rows <= n:
-        raise ValueError("v_rows must lie between 0 and the column count")
-    track_u = rows
-    track_uinv = rows and inverses
+    track_uinv = inverses
     track_v = cols
-    track_vinv = cols and inverses and v_rows is None
+    track_vinv = cols and inverses
     s = [list(row) for row in a.entries]
-    u = _identity_rows(m) if track_u else None
+    u = _identity_rows(m)
     # u_inv and v are kept transposed, so their column operations are row
-    # operations on these lists; v_t[j] holds the tracked rows of column j
+    # operations on these lists
     uinv_t = _identity_rows(m) if track_uinv else None
-    v_t = _identity_rows(n, v_rows) if track_v else None
+    v_t = _identity_rows(n) if track_v else None
     vinv = _identity_rows(n) if track_vinv else None
 
     def swap_rows(i, j):
         if i == j:
             return
         s[i], s[j] = s[j], s[i]
-        if track_u:
-            u[i], u[j] = u[j], u[i]
+        u[i], u[j] = u[j], u[i]
         if track_uinv:
             uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
 
@@ -301,8 +284,7 @@ def smith_normal_form(
     def add_row(i, j, q):
         # row_i += q * row_j
         s[i] = _axpy(s[i], q, s[j])
-        if track_u:
-            u[i] = _axpy(u[i], q, u[j])
+        u[i] = _axpy(u[i], q, u[j])
         if track_uinv:
             uinv_t[j] = _axpy(uinv_t[j], -q, uinv_t[i])
 
@@ -317,8 +299,7 @@ def smith_normal_form(
 
     def negate_row(i):
         s[i] = [-x for x in s[i]]
-        if track_u:
-            u[i] = [-x for x in u[i]]
+        u[i] = [-x for x in u[i]]
         if track_uinv:
             uinv_t[i] = [-x for x in uinv_t[i]]
 
@@ -396,25 +377,33 @@ def smith_normal_form(
             negate_row(i)
 
     skipped = IntMatrix.zeros(0, 0)
-    v_height = n if v_rows is None else v_rows
     return SmithForm(
-        IntMatrix(m, m, tuple(map(tuple, u))) if track_u else skipped,
+        IntMatrix(m, m, tuple(map(tuple, u))),
         IntMatrix(m, n, tuple(map(tuple, s))),
-        IntMatrix(v_height, n, tuple(zip(*v_t)) if n else ((),) * v_height) if track_v else skipped,
+        IntMatrix(n, n, tuple(zip(*v_t))) if track_v else skipped,
         IntMatrix(m, m, tuple(zip(*uinv_t))) if track_uinv else skipped,
         IntMatrix(n, n, tuple(map(tuple, vinv))) if track_vinv else skipped,
     )
 
 
 def kernel_basis(a: IntMatrix, rows: int | None = None) -> IntMatrix:
-    """Basis (as columns) of the integer kernel { x : a @ x == 0 }.
+    """Hermite normal form basis (as columns) of the integer kernel
+    { x : a @ x == 0 }, or with ``rows=l`` of its projection to the first l
+    coordinates.
 
-    With ``rows=l`` only the first l coordinates of each basis vector are
-    returned, from an elimination that tracks only those rows of v.
+    It is read off the Hermite normal form h of [first l rows of the
+    identity; a] (Cohen, §2.4.3).  Pivot rows rise from left to right, so
+    the columns of h zero in the rows of a come first, and since an echelon
+    basis spans every lattice vector that is zero below its pivot rows,
+    their top l rows are a basis of that projection, already in normal form.
     """
-    sf = smith_normal_form(a, rows=False, inverses=False, v_rows=rows)
-    k = sf.rank
-    return IntMatrix(sf.v.rows, a.cols - k, tuple(row[k:] for row in sf.v.entries))
+    n = a.cols
+    l = n if rows is None else rows
+    if not 0 <= l <= n:
+        raise ValueError("rows must lie between 0 and the column count")
+    h = hnf_basis(vstack([IntMatrix(l, n, IntMatrix.identity(n).entries[:l]), a]))
+    k = next((j for j, c in enumerate(zip(*h.entries[l:])) if any(c)), h.cols)
+    return IntMatrix(l, k, tuple(row[:k] for row in h.entries[:l]))
 
 
 def solve_vector(a: IntMatrix, y, sf: SmithForm | None = None):
@@ -423,7 +412,7 @@ def solve_vector(a: IntMatrix, y, sf: SmithForm | None = None):
     if len(y) != a.rows:
         raise ValueError("right-hand side has the wrong length")
     if sf is None:
-        sf = smith_normal_form(a)
+        sf = smith_normal_form(a, inverses=False)
     w = sf.u.mul_vec(y)
     k = sf.rank
     z = [0] * a.cols
@@ -448,7 +437,7 @@ def solve_matrix(a: IntMatrix, y: IntMatrix, sf: SmithForm | None = None):
     if y.rows != a.rows:
         raise ValueError("right-hand side has the wrong number of rows")
     if sf is None:
-        sf = smith_normal_form(a)
+        sf = smith_normal_form(a, inverses=False)
     w = (sf.u @ y).entries
     k = sf.rank
     z = []

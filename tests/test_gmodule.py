@@ -39,7 +39,7 @@ from tatekit.gmodule import (
     trivial_module,
     PermAction,
 )
-from tatekit.matrices import IntMatrix, hnf_basis, hstack, solve_matrix_strict
+from tatekit.matrices import IntMatrix, hnf_basis, hstack, smith_normal_form, solve_matrix_strict, vstack
 from tatekit.tower import enumerate_subgroups
 
 
@@ -435,3 +435,19 @@ def test_coinvariants_over_generators_equal_those_over_every_element(corpus):
             ), (name, r)
             assert q.generator_vectors() == ref.generator_vectors(), (name, r)
             assert q.group == cokernel(every).group, (name, r)
+
+
+def test_invariants_and_tate_h0_are_presented_by_hermite_normal_forms(corpus):
+    # M^G and N(M) are presented by their Hermite normal forms, so tate_h0
+    # depends only on the two lattices
+    for name, g in corpus.items():
+        aug = augmentation_kernel_module(g)
+        for module in (trivial_module(g, 2), aug, direct_sum_modules([aug, trivial_module(g, 1)])):
+            r = module.rank
+            moves = [module.action[e] - IntMatrix.identity(r) for e in g.generating_set()]
+            fixed = invariants(module)
+            assert hnf_basis(fixed) == fixed, (name, r)
+            assert all((m @ fixed).is_zero() for m in moves), (name, r)
+            assert fixed.cols == r - smith_normal_form(vstack(moves, cols=r), cols=False).rank, (name, r)
+            rel = tate_h0(module).relations
+            assert hnf_basis(rel) == rel, (name, r)

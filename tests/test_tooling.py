@@ -64,10 +64,9 @@ def test_every_smith_form_field_is_a_matrix_the_tracer_can_read():
     # transform_bits_max, whichever of them the caller had tracked
     bits = _tracer()._bits
     shapes = [IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12]]), IntMatrix.zeros(0, 0), IntMatrix.zeros(2, 3)]
-    for a, cols, rows, inverses in itertools.product(shapes, *[(True, False)] * 3):
-        for v_rows in (None, 0, a.cols):
-            sf = smith_normal_form(a, cols=cols, rows=rows, inverses=inverses, v_rows=v_rows)
-            assert isinstance(sf, SmithForm)
-            for field in (sf.u, sf.v, sf.u_inv, sf.v_inv):
-                assert isinstance(field, IntMatrix)
-                assert bits(field) >= 0
+    for a, cols, inverses in itertools.product(shapes, *[(True, False)] * 2):
+        sf = smith_normal_form(a, cols=cols, inverses=inverses)
+        assert isinstance(sf, SmithForm)
+        for field in (sf.u, sf.v, sf.u_inv, sf.v_inv):
+            assert isinstance(field, IntMatrix)
+            assert bits(field) >= 0
