@@ -20,7 +20,6 @@ from .matrices import (
     SmithForm,
     block_diagonal,
     hnf_basis,
-    hstack,
     kernel_basis,
     smith_normal_form,
     solve_matrix,
@@ -36,7 +35,6 @@ __all__ = [
     "InducedMap",
     "cokernel",
     "element_order",
-    "torsion_subgroup",
     "direct_sum_quotients",
 ]
 
@@ -229,9 +227,12 @@ class LatticeQuotient:
                 raise MembershipError("vector is not in the presented sublattice")
         return self.snf.u @ vecs
 
-    def _is_zero_class(self, w) -> bool:
-        """Whether a column of ``_class_coords`` is the zero class."""
-        return all(x % d == 0 for x, d in zip(w, self._rel_factors)) and not any(w[self._rank_rel :])
+    def _all_zero_classes(self, w: IntMatrix) -> bool:
+        """Whether every column of a ``_class_coords`` matrix is the zero class."""
+        rows = w.entries
+        return all(x % d == 0 for row, d in zip(rows, self._rel_factors) for x in row) and not any(
+            map(any, rows[self._rank_rel :])
+        )
 
     # -- class arithmetic ------------------------------------------------
 
@@ -290,10 +291,6 @@ def cokernel(a: IntMatrix) -> LatticeQuotient:
     return LatticeQuotient(a.rows, IntMatrix.identity(a.rows), a)
 
 
-def torsion_subgroup(q: LatticeQuotient) -> LatticeQuotient:
-    return q.torsion()
-
-
 def direct_sum_quotients(quotients) -> LatticeQuotient:
     """Block direct sum; ambient spaces are concatenated in order."""
     quotients = list(quotients)
@@ -306,32 +303,25 @@ def direct_sum_quotients(quotients) -> LatticeQuotient:
 class InducedMap:
     """Homomorphism between lattice quotients induced by an ambient matrix.
 
-    ``matrix`` maps the source ambient space to the target ambient space;
-    well-definedness (P_src lands in P_tgt, R_src lands in span R_tgt) is
-    verified unless check=False.
+    ``matrix`` maps the source ambient space to the target ambient space.
+    Every map is verified when it is built, from W, the target class
+    coordinates of the images of the source basis: a basis image outside
+    P_tgt raises ``MembershipError``, and a relation image that is not a
+    zero class raises ``ValueError``.  W also answers ``kernel`` and
+    ``is_identity_on``.
     """
 
-    def __init__(self, source: LatticeQuotient, target: LatticeQuotient, matrix: IntMatrix, check: bool = True):
+    def __init__(self, source: LatticeQuotient, target: LatticeQuotient, matrix: IntMatrix):
         if matrix.rows != target.ambient_rank or matrix.cols != source.ambient_rank:
             raise ValueError("matrix shape does not match the ambient spaces")
         self.source = source
         self.target = target
         self.matrix = matrix
-        if check:
-            # basis images must lie in P_tgt (MembershipError otherwise),
-            # relation images must be zero classes
-            images = itertools.islice(zip(*self._image_coords), source.basis.cols, None)
-            if not all(map(target._is_zero_class, images)):
-                raise ValueError("map does not send relations to relations")
-
-    @cached_property
-    def _image_coords(self) -> tuple[tuple[int, ...], ...]:
-        """Rows of the target class coordinates of the images of the source
-        basis columns, then of its relation columns: one batched solve, which
-        the check and the kernel share."""
-        source = self.source
-        both = hstack([source.basis, source.relations], rows=source.ambient_rank)
-        return self.target._class_coords(self.matrix @ both).entries
+        self._w = target._class_coords(matrix @ source.basis)
+        # class coordinates are linear, so W @ rel_in_basis holds those of
+        # the relation images
+        if not target._all_zero_classes(self._w @ source.rel_in_basis):
+            raise ValueError("map does not send relations to relations")
 
     def apply(self, x: AbElement) -> AbElement:
         return self.target.project(self.matrix.mul_vec(self.source.lift(x)))
@@ -352,39 +342,33 @@ class InducedMap:
         # solved in the target's class coordinates: a class is zero iff each
         # torsion coordinate is a multiple of its d_i and each free one is 0,
         # so K is the top of ker [W_tor, diag(d); W_free, 0]
-        w = [row[:l] for row in self._image_coords]
+        w = self._w.entries
         tor = target._tor_positions
         nt = len(tor)
         rows = [w[i] + (0,) * j + (target._rel_factors[i],) + (0,) * (nt - 1 - j) for j, i in enumerate(tor)]
         rows += [w[i] + (0,) * nt for i in target._free_positions]
         pre = kernel_basis(IntMatrix(len(rows), l + nt, tuple(rows)), rows=l)
-        coords = solve_matrix(pre, source.rel_in_basis)
-        if coords is None:
-            raise MembershipError("map does not send relations into its kernel")
-        rel = hnf_basis(coords)
+        rel = hnf_basis(solve_matrix_strict(pre, source.rel_in_basis))
         basis = source.basis @ pre
         return LatticeQuotient(source.ambient_rank, basis, basis @ rel, rel_in_basis=rel)
 
     def is_identity_on(self, quotient: LatticeQuotient) -> bool:
-        """True when source == target == quotient and the map fixes every generator."""
+        """True when source == target == quotient and the map fixes every generator.
+
+        The basis classes generate the group, and W holds their images, so
+        the map is the identity iff every column of W - u is a zero class.
+        """
         if not (_same_presentation(self.source, quotient) and _same_presentation(self.target, quotient)):
             return False
-        for vec in quotient.generator_vectors():
-            if self.apply(quotient.project(vec)) != quotient.project(vec):
-                return False
-        return True
+        return self.target._all_zero_classes(self._w - self.target.snf.u)
 
     @staticmethod
     def compose(outer: "InducedMap", inner: "InducedMap") -> "InducedMap":
         if not _same_presentation(outer.source, inner.target):
             raise ValueError("maps do not compose")
-        return InducedMap(inner.source, outer.target, outer.matrix @ inner.matrix, check=False)
+        return InducedMap(inner.source, outer.target, outer.matrix @ inner.matrix)
 
 
 def _same_presentation(a: LatticeQuotient, b: LatticeQuotient) -> bool:
     """Whether two quotients present the same group the same way."""
     return a.ambient_rank == b.ambient_rank and a.basis == b.basis and a.relations == b.relations
-
-
-def identity_map(q: LatticeQuotient) -> InducedMap:
-    return InducedMap(q, q, IntMatrix.identity(q.ambient_rank), check=False)

@@ -705,10 +705,11 @@ def tate_h0(module: GModule) -> LatticeQuotient:
     """Fixed lattice modulo norms: M^G / N(M).
 
     Both lattices are presented by their Hermite normal forms, so the
-    quotient depends only on them.
+    quotient depends only on them.  M^G and the norms are read off the
+    cached norm map, which ``tate_h_minus1`` builds too.
     """
-    basis = invariants(module)
-    return LatticeQuotient(module.rank, basis, hnf_basis(norm_matrix(module)))
+    norm = norm_induced_map(module)
+    return LatticeQuotient(module.rank, norm.target.basis, hnf_basis(norm.matrix))
 
 
 # -- transfer ------------------------------------------------------------

@@ -22,7 +22,6 @@ __all__ = [
     "kernel_basis",
     "solve_vector",
     "solve_matrix",
-    "lattice_basis",
     "hnf_basis",
     "hstack",
     "vstack",
@@ -502,7 +501,3 @@ def hnf_basis(a: IntMatrix) -> IntMatrix:
                 c[: i + 1] = _axpy(c[: i + 1], -q, piv)
         found.insert(0, piv + [0] * (m - 1 - i))
     return IntMatrix(m, len(found), tuple(zip(*found)) if found else ((),) * m)
-
-
-# an independent basis (as columns) of the lattice the columns generate
-lattice_basis = hnf_basis

@@ -191,14 +191,15 @@ def verify_counterexample_local(
     assert isinstance(component_order, int)
     per = component_order  # all three components are equal copies
 
+    # the restriction and the quartic transfer do not depend on the branch
+    lift = h1.lift(xi_component)
+    summed = transfer_matrix(factor, delta).mul_vec(lift)
+    res_class = coinvariants(restrict_module(factor, delta)).project(summed)
+    res_order = element_order(res_class)
+    assert isinstance(res_order, int)
+    over_quartic = transfer(factor, triv, xi_component, source=h1)
     branches = []
     for tag, v, res in _branch_data(field):
-        lift = h1.lift(xi_component)
-        summed = transfer_matrix(factor, delta).mul_vec(lift)
-        res_class = coinvariants(restrict_module(factor, delta)).project(summed)
-        res_order = element_order(res_class)
-        assert isinstance(res_order, int)
-        over_quartic = transfer(factor, triv, xi_component, source=h1)
         if trivial_class:
             conclusion = "zero class: every restriction is trivial, nothing is ruled out"
         else:

@@ -13,7 +13,7 @@ torsion coinvariant groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .abgroup import (
     AbElement,
@@ -91,20 +91,18 @@ class GlobalData:
 class PlaceModule:
     """M[S] with its degree-zero sublattice, over the fiber permutation action.
 
-    ``points`` lists the fiber points as (place label, coset representative);
-    point w carries the block of coordinates [w*rank, (w+1)*rank).
+    ``fibers`` holds the coset action of each place, in place order; ``action``
+    is their disjoint union.  ``points`` lists the fiber points as (place
+    label, coset representative); point w carries the block of coordinates
+    [w*rank, (w+1)*rank).
     """
 
     data: GlobalData
     action: PermAction
+    fibers: tuple[PermAction, ...]
     points: tuple[tuple[str, int], ...]
     sub: GModule
     basis: IntMatrix
-
-    @cached_property
-    def big(self) -> GModule:
-        """The dense M[S], built on first read; only ``sha1_S`` reads it."""
-        return permutation_module(self.action, self.data.module)
 
     def fiber(self, label: str) -> tuple[int, ...]:
         return tuple(i for i, (lab, _) in enumerate(self.points) if lab == label)
@@ -123,7 +121,7 @@ def build_place_module(data: GlobalData) -> PlaceModule:
         points.extend((p.label, rep) for rep in p.decomposition.left_reps)
     action = disjoint_union_action(fibers) if fibers else _empty_action(data.theta)
     sub, basis = degree_zero_submodule(action, data.module)
-    return PlaceModule(data, action, tuple(points), sub, basis)
+    return PlaceModule(data, action, tuple(fibers), tuple(points), sub, basis)
 
 
 @dataclass
@@ -143,16 +141,9 @@ class ShaResult:
         return size
 
 
-def sha1_S(data: GlobalData) -> ShaResult:
-    """Kernel of (M[S]_0)_{Theta,Tors} -> M[S]_{Theta,Tors} via the inclusion.
-
-    The target is taken as the full coinvariant group; a torsion class dies
-    in the torsion part exactly when it dies there.
-    """
-    pm = build_place_module(data)
-    domain = torsion_coinvariants(pm.sub)
-    inclusion = InducedMap(domain, coinvariants(pm.big), pm.basis)
-    ker = inclusion.kernel()
+def _sha_result(pm: PlaceModule, domain: LatticeQuotient, target: LatticeQuotient, matrix: IntMatrix) -> ShaResult:
+    """The kernel of the map out of ``domain`` that ``matrix`` induces."""
+    ker = InducedMap(domain, target, matrix).kernel()
     return ShaResult(
         group_invariants=ker.group.invariant_factors,
         kernel=ker,
@@ -160,6 +151,18 @@ def sha1_S(data: GlobalData) -> ShaResult:
         generators=tuple(tuple(v) for v in ker.generator_vectors()),
         place_module=pm,
     )
+
+
+def sha1_S(data: GlobalData) -> ShaResult:
+    """Kernel of (M[S]_0)_{Theta,Tors} -> M[S]_{Theta,Tors} via the inclusion.
+
+    The target is taken as the full coinvariant group; a torsion class dies
+    in the torsion part exactly when it dies there.  M[S] is the direct sum
+    of its fibers' modules, so its coinvariants are taken one place at a time.
+    """
+    pm = build_place_module(data)
+    target = direct_sum_quotients(coinvariants(permutation_module(f, data.module)) for f in pm.fibers)
+    return _sha_result(pm, torsion_coinvariants(pm.sub), target, pm.basis)
 
 
 def _shapiro_matrix(pm: PlaceModule, label: str) -> IntMatrix:
@@ -192,20 +195,11 @@ def sha1_shapiro(data: GlobalData) -> ShaResult:
     over places is returned.
     """
     pm = build_place_module(data)
-    domain = torsion_coinvariants(pm.sub)
-    locals_ = [
+    target = direct_sum_quotients(
         coinvariants(restrict_module(data.module, p.decomposition)) for p in data.places
-    ]
-    target = direct_sum_quotients(locals_)
-    stacked = vstack([_shapiro_matrix(pm, p.label) for p in data.places], cols=pm.sub.rank)
-    ker = InducedMap(domain, target, stacked).kernel()
-    return ShaResult(
-        group_invariants=ker.group.invariant_factors,
-        kernel=ker,
-        domain=domain,
-        generators=tuple(tuple(v) for v in ker.generator_vectors()),
-        place_module=pm,
     )
+    stacked = vstack([_shapiro_matrix(pm, p.label) for p in data.places], cols=pm.sub.rank)
+    return _sha_result(pm, torsion_coinvariants(pm.sub), target, stacked)
 
 
 # -- obstruction to the existence of a global class ----------------------

@@ -13,8 +13,6 @@ from tatekit import (
     cokernel,
     direct_sum_quotients,
     element_order,
-    identity_map,
-    torsion_subgroup,
 )
 from tatekit.errors import MembershipError
 from tatekit.gmodule import (
@@ -22,9 +20,10 @@ from tatekit.gmodule import (
     coinvariants,
     direct_sum_modules,
     norm_induced_map,
+    permutation_module,
     trivial_module,
 )
-from tatekit.matrices import hstack, kernel_basis, lattice_basis, smith_normal_form, solve_matrix
+from tatekit.matrices import hnf_basis, hstack, kernel_basis, smith_normal_form, solve_matrix
 from tatekit.sha import sha1_S, sha1_shapiro
 
 from test_sha import klein_data, quarter_turn_data
@@ -93,7 +92,7 @@ def test_torsion_subquotient():
     t = q.torsion()
     assert t.group.invariant_factors == (3,)
     assert t.group.free_rank == 0
-    assert torsion_subgroup(q).group.is_finite
+    assert t.group.is_finite
     # torsion vectors project into the torsion quotient
     for x in t.group.elements():
         v = t.lift(x)
@@ -103,8 +102,12 @@ def test_torsion_subquotient():
 def test_induced_map_identity_and_kernel():
     rel = IntMatrix.from_rows([[4]])
     q = cokernel(rel)  # Z/4
-    ident = identity_map(q)
+    ident = InducedMap(q, q, IntMatrix.identity(1))
     assert ident.is_identity_on(q)
+    # 4 = 1 mod 3 fixes Z/3 but not Z/3 + Z
+    z3, z3_z = cokernel(IntMatrix.from_rows([[3]])), cokernel(IntMatrix.from_rows([[3], [0]]))
+    assert InducedMap(z3, z3, IntMatrix.from_rows([[4]])).is_identity_on(z3)
+    assert not InducedMap(z3_z, z3_z, IntMatrix.identity(2).scaled(4)).is_identity_on(z3_z)
     doubling = InducedMap(q, q, IntMatrix.from_rows([[2]]))
     ker = doubling.kernel()
     assert ker.group.invariant_factors == (2,)
@@ -119,6 +122,8 @@ def test_induced_map_rejects_non_maps():
     q3 = cokernel(IntMatrix.from_rows([[3]]))
     with pytest.raises(ValueError):
         InducedMap(q4, q3, IntMatrix.from_rows([[1]]))  # 4 does not map to 0 mod 3
+    with pytest.raises(ValueError):
+        InducedMap(q4, cokernel(IntMatrix.zeros(1, 0)), IntMatrix.from_rows([[1]]))  # Z/4 -> Z
 
 
 def test_compose():
@@ -151,14 +156,14 @@ def test_induced_map_rejects_basis_images_outside_target_lattice():
     assert doubling(z4.group.element((1,))) == evens.group.element((1,))
 
 
-def test_kernel_of_an_unchecked_non_map_raises():
-    # the source relations do not land in the kernel lattice, so there is no
-    # kernel to present: Z/2 -> Z/4 and 2Z/8Z -> Z/16, each x -> x
+def test_building_a_map_that_does_not_send_relations_to_relations_raises():
+    # the basis images lie in the target lattice, but a relation image is a
+    # nonzero class: Z/2 -> Z/4 and 2Z/8Z -> Z/16, each x -> x
     z2, z4, z16 = (cokernel(IntMatrix.from_rows([[n]])) for n in (2, 4, 16))
     evens = LatticeQuotient(1, IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[8]]))
     for source, target in ((z2, z4), (evens, z16)):
-        with pytest.raises(MembershipError):
-            InducedMap(source, target, IntMatrix.from_rows([[1]]), check=False).kernel()
+        with pytest.raises(ValueError):
+            InducedMap(source, target, IntMatrix.from_rows([[1]]))
 
 
 small = st.integers(min_value=-6, max_value=6)
@@ -302,6 +307,21 @@ def test_derived_quotients_accept_members_and_reject_the_rest(derived):
         assert InducedMap(q, q, IntMatrix.identity(n)).is_identity_on(q), label
 
 
+def _fixes_every_generator(f, q):
+    """The definition of the identity test: f fixes the class of every generator."""
+    return all(f(q.project(v)) == q.project(v) for v in q.generator_vectors())
+
+
+@given(st.data())
+def test_is_identity_on_agrees_with_its_per_generator_definition(derived, data):
+    label, q = data.draw(st.sampled_from(derived))
+    exponent = q.group.exponent()
+    scalars = st.integers(-3, 3) | st.just(1 + exponent if exponent is not INFINITE else 1)
+    c = data.draw(scalars)
+    f = InducedMap(q, q, IntMatrix.identity(q.ambient_rank).scaled(c))
+    assert f.is_identity_on(q) == _fixes_every_generator(f, q), (label, c)
+
+
 def test_a_quotient_built_from_outside_checks_its_basis_at_once():
     dependent = IntMatrix.from_rows([[1, 2], [1, 2]])
     with pytest.raises(ValueError):
@@ -339,8 +359,8 @@ def test_kernels_do_not_depend_on_the_generators_of_either_relation_lattice(corp
     for name, data in (("klein", klein_data()), ("quarter", quarter_turn_data())):
         res = sha1_S(data)
         pm = res.place_module
-        r = pm.big.rank
-        every = hstack([m - IntMatrix.identity(r) for m in pm.big.action], rows=r)
+        big = permutation_module(pm.action, data.module)
+        every = hstack([m - IntMatrix.identity(big.rank) for m in big.action], rows=big.rank)
         cases.append((name, res.domain, pm.basis, every))
     for name, mname, module in _corpus_modules(corpus):
         if module.rank <= 8:
@@ -376,7 +396,7 @@ def test_kernel_lattice_equals_the_ambient_block_route(data):
     target = cokernel(r_tgt)
     if data.draw(st.booleans()):  # a target basis other than the identity
         gens = hstack([m, r_tgt, _small_matrix(data, t, 1)])
-        target = LatticeQuotient(t, lattice_basis(gens), r_tgt)
+        target = LatticeQuotient(t, hnf_basis(gens), r_tgt)
     ker = InducedMap(source, target, m).kernel()
     l = source.basis.cols
     block = kernel_basis(hstack([m @ source.basis, r_tgt]))
@@ -401,7 +421,7 @@ def test_kernel_solves_only_the_targets_torsion_and_free_rows(monkeypatch):
         monkeypatch.setattr(abgroup, "kernel_basis", spy)
         res = sha1_S(data)
         monkeypatch.undo()
-        target = coinvariants(res.place_module.big).group
+        target = coinvariants(permutation_module(res.place_module.action, data.module)).group
         ntor, l = len(target.invariant_factors), res.domain.basis.cols
         assert shapes.pop() == (ntor + target.free_rank, l + ntor, l)
         assert not shapes

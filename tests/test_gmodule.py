@@ -1,5 +1,6 @@
 """Finite groups, subgroups, integral representations, and transfer."""
 
+import importlib
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from tatekit.gmodule import (
     invariants,
     klein_four,
     module_from_generators,
+    norm_induced_map,
     norm_matrix,
     permutation_module,
     pullback_module,
@@ -451,3 +453,21 @@ def test_invariants_and_tate_h0_are_presented_by_hermite_normal_forms(corpus):
             assert fixed.cols == r - smith_normal_form(vstack(moves, cols=r), cols=False).rank, (name, r)
             rel = tate_h0(module).relations
             assert hnf_basis(rel) == rel, (name, r)
+
+
+def test_tate_h0_reuses_the_invariants_tate_h_minus1_computed(monkeypatch):
+    gmodule = importlib.import_module("tatekit.gmodule")
+    shapes = []
+    real = gmodule.kernel_basis
+
+    def spy(a, rows=None):
+        shapes.append((a.rows, a.cols))
+        return real(a, rows)
+
+    module = augmentation_kernel_module(klein_four())
+    for cached in (norm_induced_map, tate_h_minus1):
+        cached.cache_clear()
+    monkeypatch.setattr(gmodule, "kernel_basis", spy)
+    tate_h_minus1(module)
+    tate_h0(module)
+    assert shapes == [(6, 3)]  # M^G of a rank-3 module under two generators, once

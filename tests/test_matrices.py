@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tatekit import IntMatrix, kernel_basis, lattice_basis, smith_normal_form
+from tatekit import IntMatrix, hnf_basis, kernel_basis, smith_normal_form
 from tatekit.errors import MembershipError
 from tatekit.matrices import (
     block_diagonal,
-    hnf_basis,
     hstack,
     solve_matrix,
     solve_matrix_strict,
@@ -98,17 +97,6 @@ def test_solve_unsolvable():
     assert solve_vector(a, (1,)) is None
     with pytest.raises(MembershipError):
         solve_matrix_strict(a, IntMatrix.from_rows([[1]]))
-
-
-@given(matrices(4))
-def test_lattice_basis_spans_same_lattice(a):
-    b = lattice_basis(a)
-    # every original column solves over the basis and vice versa
-    for col in a.columns():
-        assert solve_vector(b, col) is not None
-    for col in b.columns():
-        assert solve_vector(a, col) is not None
-    assert b.cols == smith_normal_form(a).rank
 
 
 def test_stack_and_block():

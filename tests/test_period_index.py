@@ -1,6 +1,7 @@
 """Period/index certificates for the quartic local counterexample."""
 
 import dataclasses
+import importlib
 
 import pytest
 
@@ -110,3 +111,18 @@ def test_validate_report_rejects_mutations(mutate):
     rep = verify_counterexample_local(5)
     with pytest.raises(TheoremViolationError):
         validate_report(mutate(rep))
+
+
+def test_verification_transfers_once_for_all_three_branches(monkeypatch):
+    periodindex = importlib.import_module("tatekit.periodindex")
+    calls = []
+    real = periodindex.transfer
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(periodindex, "transfer", spy)
+    rep = verify_counterexample_local(5)
+    assert len(rep.branches) == 3
+    assert len(calls) == 1

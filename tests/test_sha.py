@@ -1,8 +1,11 @@
 """Localization kernels, the global-class obstruction, and the collapse map."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from tatekit import sha
 from tatekit.errors import DomainError, HypothesisFailError, UnknownPlaceError
 from tatekit.gmodule import (
     augmentation_kernel_module,
@@ -59,22 +62,67 @@ def test_place_module_geometry():
     data = klein_data()
     pm = build_place_module(data)
     assert len(pm.points) == 6  # three fibers of two points
-    assert pm.big.rank == 6 * 3
+    assert [f.degree for f in pm.fibers] == [2, 2, 2]
+    assert permutation_module(pm.action, data.module).rank == 6 * 3
     assert pm.sub.rank == 5 * 3
     for lab in ("v1", "v2", "v3"):
         assert len(pm.fiber(lab)) == 2
 
 
-def test_place_module_builds_the_dense_module_only_when_read(corpus):
-    g = corpus["S3"]
-    data = GlobalData(g, augmentation_kernel_module(g), (PlaceDatum("v", generated_subgroup(g, [1])),))
-    build_place_module.cache_clear()
-    pm = build_place_module(data)
-    assert "big" not in vars(pm)
-    sha1_shapiro(data)
-    assert "big" not in vars(pm)
-    assert pm.big == permutation_module(pm.action, data.module)
-    assert "big" in vars(pm)
+def _small_scenarios(corpus):
+    """Groups of order <= 8 with the augmentation kernel or a trivial rank-1
+    module, and one or two places with trivial, cyclic or full decomposition."""
+    for g in (g for g in corpus.values() if g.order <= 8):
+        subs = (subgroup(g, [g.identity]), generated_subgroup(g, g.generating_set()[:1]), full_subgroup(g))
+        for module in (augmentation_kernel_module(g), trivial_module(g, 1)):
+            for n in (1, 2):
+                for decs in itertools.combinations_with_replacement(subs, n):
+                    places = tuple(PlaceDatum(f"v{i}", d) for i, d in enumerate(decs))
+                    yield GlobalData(g, module, places)
+
+
+def test_sha1_S_target_is_the_coinvariants_of_the_whole_place_module(corpus, monkeypatch):
+    # the target is summed place by place; it must present the same quotient
+    # as the coinvariants of the dense M[S]
+    targets = []
+    real = sha._sha_result
+
+    def spy(pm, domain, target, matrix):
+        targets.append(target)
+        return real(pm, domain, target, matrix)
+
+    monkeypatch.setattr(sha, "_sha_result", spy)
+    for data in _small_scenarios(corpus):
+        sha1_S(data)
+        whole = coinvariants(permutation_module(build_place_module(data).action, data.module))
+        target = targets.pop()
+        assert (target.basis, target.relations, target.snf.s, target.snf.u, target.snf.u_inv) == (
+            whole.basis, whole.relations, whole.snf.s, whole.snf.u, whole.snf.u_inv
+        ), data
+
+
+def test_sha1_never_builds_the_whole_permutation_module(corpus, monkeypatch):
+    degrees = []
+    real = permutation_module
+
+    def spy(action, coeff):
+        degrees.append(action.degree)
+        return real(action, coeff)
+
+    g = corpus["D4"]
+    two = GlobalData(
+        g,
+        augmentation_kernel_module(g),
+        (PlaceDatum("one", subgroup(g, [g.identity])), PlaceDatum("gen", generated_subgroup(g, [1]))),
+    )
+    monkeypatch.setattr(sha, "permutation_module", spy)
+    for data in (klein_data(), quarter_turn_data(), two):
+        pm = build_place_module(data)
+        sha1_S(data)
+        assert degrees == [f.degree for f in pm.fibers] and max(degrees) < pm.action.degree
+        degrees.clear()
+        sha1_shapiro(data)
+        assert not degrees
 
 
 def test_trivial_decomposition_fiber_is_the_whole_group():
@@ -121,7 +169,7 @@ def test_klein_kernel_matches_enumeration_oracle():
     data = klein_data()
     pm = build_place_module(data)
     domain = coinvariants(pm.sub).torsion()
-    target = coinvariants(pm.big)
+    target = coinvariants(permutation_module(pm.action, data.module))
     dying = sum(
         1
         for x in domain.group.elements()
@@ -134,7 +182,7 @@ def _dying_classes(res):
     """The enumeration oracle of the Klein test, as a set: every torsion
     class of the degree-zero part that dies in the full module."""
     pm, domain = res.place_module, res.domain
-    target = coinvariants(pm.big)
+    target = coinvariants(permutation_module(pm.action, pm.data.module))
     return {x for x in domain.group.elements() if target.project(pm.basis.mul_vec(domain.lift(x))).is_zero()}
 
 
