@@ -99,6 +99,17 @@ def test_solve_unsolvable():
         solve_matrix_strict(a, IntMatrix.from_rows([[1]]))
 
 
+@given(matrices(4))
+def test_lattice_basis_spans_same_lattice(a):
+    b = hnf_basis(a)
+    # every original column solves over the basis and vice versa
+    for col in a.columns():
+        assert solve_vector(b, col) is not None
+    for col in b.columns():
+        assert solve_vector(a, col) is not None
+    assert b.cols == smith_normal_form(a).rank
+
+
 def test_stack_and_block():
     a = IntMatrix.from_rows([[1, 2]])
     b = IntMatrix.from_rows([[3, 4], [5, 6]])
