@@ -18,7 +18,6 @@ from .errors import MembershipError
 from .matrices import (
     IntMatrix,
     SmithForm,
-    block_diagonal,
     hnf_basis,
     kernel_basis,
     smith_normal_form,
@@ -34,8 +33,8 @@ __all__ = [
     "LatticeQuotient",
     "InducedMap",
     "cokernel",
+    "common_kernel",
     "element_order",
-    "direct_sum_quotients",
 ]
 
 
@@ -195,12 +194,12 @@ class LatticeQuotient:
         self.snf: SmithForm = smith_normal_form(self.rel_in_basis, cols=False)
         diag = self.snf.diagonal
         k = self.snf.rank
-        l = basis.cols
         self._rank_rel = k
         self._rel_factors = diag[:k]
-        self._tor_positions = tuple(i for i in range(k) if diag[i] >= 2)
-        self._free_positions = tuple(range(k, l))
-        self.group = FinAbGroup(tuple(diag[i] for i in self._tor_positions), l - k)
+        # d1 | d2 | ..., so the unit factors come first and a class's
+        # coordinates are the class coordinates from _units on
+        self._units = diag[:k].count(1)
+        self.group = FinAbGroup(diag[self._units : k], basis.cols - k)
 
     @cached_property
     def _basis_sf(self) -> SmithForm | None:
@@ -241,22 +240,13 @@ class LatticeQuotient:
         x = self._basis_coords(vec)
         if x is None:
             raise MembershipError("vector is not in the presented sublattice")
-        w = self.snf.u.mul_vec(x)
-        coords = tuple(w[i] for i in self._tor_positions) + tuple(w[i] for i in self._free_positions)
-        return AbElement(self.group, coords)
+        return AbElement(self.group, self.snf.u.mul_vec(x)[self._units :])
 
     def lift(self, x: AbElement) -> tuple[int, ...]:
         """A lattice representative of the class x."""
         if x.group != self.group:
             raise ValueError("element does not belong to this quotient")
-        l = self.basis.cols
-        w = [0] * l
-        nt = len(self._tor_positions)
-        for pos, c in zip(self._tor_positions, x.coords[:nt]):
-            w[pos] = c
-        for pos, c in zip(self._free_positions, x.coords[nt:]):
-            w[pos] = c
-        z = self.snf.u_inv.mul_vec(w)
+        z = self.snf.u_inv.mul_vec((0,) * self._units + x.coords)
         return self.basis.mul_vec(z)
 
     def contains_vector(self, vec) -> bool:
@@ -291,15 +281,6 @@ def cokernel(a: IntMatrix) -> LatticeQuotient:
     return LatticeQuotient(a.rows, IntMatrix.identity(a.rows), a)
 
 
-def direct_sum_quotients(quotients) -> LatticeQuotient:
-    """Block direct sum; ambient spaces are concatenated in order."""
-    quotients = list(quotients)
-    amb = sum(q.ambient_rank for q in quotients)
-    basis = block_diagonal([q.basis for q in quotients])
-    rel = block_diagonal([q.relations for q in quotients])
-    return LatticeQuotient(amb, basis, rel)
-
-
 class InducedMap:
     """Homomorphism between lattice quotients induced by an ambient matrix.
 
@@ -330,27 +311,9 @@ class InducedMap:
         return self.apply(x)
 
     def kernel(self) -> LatticeQuotient:
-        """Kernel as a subquotient presented inside the source ambient space.
-
-        The kernel lattice K, in coordinates over the source basis, is
-        presented by its Hermite normal form, and the source relations by the
-        Hermite normal form of their coordinates over it; both depend only on
-        the lattices.
-        """
-        source, target = self.source, self.target
-        l = source.basis.cols
-        # solved in the target's class coordinates: a class is zero iff each
-        # torsion coordinate is a multiple of its d_i and each free one is 0,
-        # so K is the top of ker [W_tor, diag(d); W_free, 0]
-        w = self._w.entries
-        tor = target._tor_positions
-        nt = len(tor)
-        rows = [w[i] + (0,) * j + (target._rel_factors[i],) + (0,) * (nt - 1 - j) for j, i in enumerate(tor)]
-        rows += [w[i] + (0,) * nt for i in target._free_positions]
-        pre = kernel_basis(IntMatrix(len(rows), l + nt, tuple(rows)), rows=l)
-        rel = hnf_basis(solve_matrix_strict(pre, source.rel_in_basis))
-        basis = source.basis @ pre
-        return LatticeQuotient(source.ambient_rank, basis, basis @ rel, rel_in_basis=rel)
+        """Kernel as a subquotient presented inside the source ambient space
+        (see ``common_kernel``)."""
+        return common_kernel(self.source, (self,))
 
     def is_identity_on(self, quotient: LatticeQuotient) -> bool:
         """True when source == target == quotient and the map fixes every generator.
@@ -367,6 +330,38 @@ class InducedMap:
         if not _same_presentation(outer.source, inner.target):
             raise ValueError("maps do not compose")
         return InducedMap(inner.source, outer.target, outer.matrix @ inner.matrix)
+
+
+def common_kernel(source: LatticeQuotient, maps) -> LatticeQuotient:
+    """The classes of ``source`` that every map in ``maps`` sends to zero.
+
+    This is the kernel of the map into the direct sum of their targets, since
+    a class of a direct sum is zero exactly when each component is; an empty
+    family gives all of ``source``.  The kernel lattice K, in coordinates over
+    the source basis, is presented by its Hermite normal form, and the source
+    relations by the Hermite normal form of their coordinates over it; both
+    depend only on the lattices, not on how the targets are presented.
+    """
+    maps = tuple(maps)
+    if not all(_same_presentation(f.source, source) for f in maps):
+        raise ValueError("map does not start from the given source")
+    l = source.basis.cols
+    # solved in each target's class coordinates: a class is zero iff each
+    # torsion coordinate is a multiple of its d_i and each free one is 0, so
+    # K is the top of ker [W_tor, diag(d); W_free, 0], one such block of rows
+    # per map, each with its own diag(d) columns
+    tor, free = [], []
+    for f in maps:
+        t, w = f.target, f._w.entries
+        tor += zip(w[t._units : t._rank_rel], t._rel_factors[t._units :])
+        free += w[t._rank_rel :]
+    nt = len(tor)
+    rows = [row + (0,) * j + (d,) + (0,) * (nt - 1 - j) for j, (row, d) in enumerate(tor)]
+    rows += [row + (0,) * nt for row in free]
+    pre = kernel_basis(IntMatrix(len(rows), l + nt, tuple(rows)), rows=l)
+    rel = hnf_basis(solve_matrix_strict(pre, source.rel_in_basis))
+    basis = source.basis @ pre
+    return LatticeQuotient(source.ambient_rank, basis, basis @ rel, rel_in_basis=rel)
 
 
 def _same_presentation(a: LatticeQuotient, b: LatticeQuotient) -> bool:

@@ -45,12 +45,6 @@ class Job:
     payload: dict
 
 
-def _dict(obj, where: str = "input") -> dict:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
-    return obj
-
-
 def _group_dict(group) -> dict:
     size = group.size()
     return {
@@ -101,9 +95,7 @@ def _op_tate(payload: dict):
 def _op_transfer(payload: dict):
     group, module = _load_group_module(payload)
     sub = serial.load_subgroup(group, payload.get("subgroup_members"), "input.subgroup_members")
-    coords = payload.get("class", [])
-    if not isinstance(coords, list):
-        raise SchemaError("input.class: expected an array")
+    coords = serial.expect_list(payload.get("class", []), "input.class")
     co = coinvariants(module)
     try:
         x = co.group.element(
@@ -334,11 +326,11 @@ _HANDLERS = {
 
 
 def parse_job(obj, where: str = "job") -> Job:
-    obj = _dict(obj, where)
+    obj = serial.expect_dict(obj, where)
     op = obj.get("op")
     if op not in _HANDLERS:
         raise SchemaError(f"{where}.op: expected one of {sorted(_HANDLERS)}, got {op!r}")
-    return Job(op, _dict(obj.get("input"), f"{where}.input"))
+    return Job(op, serial.expect_dict(obj.get("input"), f"{where}.input"))
 
 
 def run_job(job: Job) -> dict:
@@ -430,7 +422,7 @@ def _echo_trace(body: dict) -> None:
 
 def _run_batch(path: str, out: str | None, trace: bool) -> int:
     obj = serial.load_json(_read_payload(path))
-    obj = _dict(obj, "batch")
+    obj = serial.expect_dict(obj, "batch")
     raw_jobs = obj.get("jobs")
     if not isinstance(raw_jobs, list):
         raise SchemaError("batch.jobs: expected an array")
@@ -464,7 +456,7 @@ def main(argv=None) -> int:
             job = parse_job(serial.load_json(_read_payload(args.input)))
         else:
             payload = serial.load_json(_read_payload(args.input))
-            job = Job(args.command, _dict(payload))
+            job = Job(args.command, serial.expect_dict(payload, "input"))
         report = run_job(job)
     except TatekitError as exc:
         _emit(_error_body(exc), getattr(args, "out", None))

@@ -715,30 +715,14 @@ def tate_h0(module: GModule) -> LatticeQuotient:
 # -- transfer ------------------------------------------------------------
 
 
-def transfer_matrix(module: GModule, sub: Subgroup, reps=None) -> IntMatrix:
+def transfer_matrix(module: GModule, sub: Subgroup) -> IntMatrix:
     """Sum of the action over a right transversal of the subgroup."""
     if sub.parent != module.group:
         raise SubgroupMismatchError("subgroup belongs to a different group")
-    if reps is None:
-        reps = sub.right_reps
-    else:
-        reps = tuple(reps)
-        _check_right_transversal(module.group, sub, reps)
     total = IntMatrix.zeros(module.rank, module.rank)
-    for r in reps:
+    for r in sub.right_reps:
         total = total + module.action[r]
     return total
-
-
-def _check_right_transversal(group: FiniteGroup, sub: Subgroup, reps):
-    seen = set()
-    for r in reps:
-        coset = frozenset(group.mul(h, r) for h in sub.members)
-        if coset & seen:
-            raise ValueError("representatives overlap cosets")
-        seen.update(coset)
-    if len(seen) != group.order:
-        raise ValueError("representatives do not cover the group")
 
 
 def transfer(
@@ -746,7 +730,6 @@ def transfer(
     sub: Subgroup,
     x: AbElement,
     source: LatticeQuotient | None = None,
-    reps=None,
 ) -> AbElement:
     """Transfer of a coinvariant class to the coinvariants of the subgroup.
 
@@ -762,6 +745,6 @@ def transfer(
     if x.group != source.group:
         raise ValueError("class does not belong to the stated source group")
     vec = source.lift(x)
-    moved = transfer_matrix(module, sub, reps).mul_vec(vec)
+    moved = transfer_matrix(module, sub).mul_vec(vec)
     target = coinvariants(restrict_module(module, sub))
     return target.project(moved)

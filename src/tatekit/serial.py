@@ -28,6 +28,8 @@ from .tower import TowerConfig
 __all__ = [
     "canonical_dumps",
     "encode",
+    "expect_dict",
+    "expect_list",
     "input_digest",
     "load_group",
     "load_json",
@@ -69,13 +71,13 @@ def parse_int(value, where: str) -> int:
     raise SchemaError(f"{where}: expected an integer or decimal string, got {value!r}")
 
 
-def _expect_dict(obj, where: str) -> dict:
+def expect_dict(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     return obj
 
 
-def _expect_list(obj, where: str) -> list:
+def expect_list(obj, where: str) -> list:
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected an array")
     return obj
@@ -88,11 +90,11 @@ def _get(obj: dict, key: str, where: str):
 
 
 def load_matrix(obj, where: str) -> IntMatrix:
-    rows = _expect_list(obj, where)
+    rows = expect_list(obj, where)
     parsed = []
     width = None
     for i, row in enumerate(rows):
-        row = _expect_list(row, f"{where}[{i}]")
+        row = expect_list(row, f"{where}[{i}]")
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -103,12 +105,12 @@ def load_matrix(obj, where: str) -> IntMatrix:
 
 def load_group(obj, where: str = "group") -> FiniteGroup:
     """Either an explicit multiplication table or permutation generators."""
-    obj = _expect_dict(obj, where)
+    obj = expect_dict(obj, where)
     if "mul_table" in obj:
-        table = _expect_list(obj["mul_table"], f"{where}.mul_table")
+        table = expect_list(obj["mul_table"], f"{where}.mul_table")
         rows = []
         for i, row in enumerate(table):
-            row = _expect_list(row, f"{where}.mul_table[{i}]")
+            row = expect_list(row, f"{where}.mul_table[{i}]")
             rows.append(
                 tuple(parse_int(x, f"{where}.mul_table[{i}][{j}]") for j, x in enumerate(row))
             )
@@ -119,10 +121,10 @@ def load_group(obj, where: str = "group") -> FiniteGroup:
         except ValueError as exc:
             raise SchemaError(f"{where}.mul_table: {exc}") from None
     if "permutations" in obj:
-        perms = _expect_list(obj["permutations"], f"{where}.permutations")
+        perms = expect_list(obj["permutations"], f"{where}.permutations")
         parsed = []
         for i, perm in enumerate(perms):
-            perm = _expect_list(perm, f"{where}.permutations[{i}]")
+            perm = expect_list(perm, f"{where}.permutations[{i}]")
             parsed.append(
                 [parse_int(x, f"{where}.permutations[{i}][{j}]") for j, x in enumerate(perm)]
             )
@@ -134,13 +136,13 @@ def load_group(obj, where: str = "group") -> FiniteGroup:
 
 
 def load_module(group: FiniteGroup, obj, where: str = "module") -> GModule:
-    obj = _expect_dict(obj, where)
+    obj = expect_dict(obj, where)
     rank = parse_int(_get(obj, "rank", where), f"{where}.rank")
     if rank < 0:
         raise SchemaError(f"{where}.rank: must be non-negative")
     gens: dict[int, IntMatrix] = {}
-    for i, entry in enumerate(_expect_list(obj.get("generators", []), f"{where}.generators")):
-        entry = _expect_dict(entry, f"{where}.generators[{i}]")
+    for i, entry in enumerate(expect_list(obj.get("generators", []), f"{where}.generators")):
+        entry = expect_dict(entry, f"{where}.generators[{i}]")
         g = parse_int(_get(entry, "element_index", f"{where}.generators[{i}]"),
                       f"{where}.generators[{i}].element_index")
         if not 0 <= g < group.order:
@@ -157,7 +159,7 @@ def load_module(group: FiniteGroup, obj, where: str = "module") -> GModule:
 
 
 def load_subgroup(group: FiniteGroup, obj, where: str) -> Subgroup:
-    members = [parse_int(x, f"{where}[{i}]") for i, x in enumerate(_expect_list(obj, where))]
+    members = [parse_int(x, f"{where}[{i}]") for i, x in enumerate(expect_list(obj, where))]
     for i, m in enumerate(members):
         if not 0 <= m < group.order:
             raise SchemaError(f"{where}[{i}]: out of range")
@@ -169,13 +171,13 @@ def load_subgroup(group: FiniteGroup, obj, where: str) -> Subgroup:
 
 def load_scenario(obj, where: str = "scenario") -> tuple[GlobalData, dict[str, tuple[int, ...]] | None]:
     """Group, module, and labeled places; optional local classes ride along."""
-    obj = _expect_dict(obj, where)
+    obj = expect_dict(obj, where)
     theta = load_group(_get(obj, "theta", where), f"{where}.theta")
     module = load_module(theta, _get(obj, "module", where), f"{where}.module")
     places = []
     seen = set()
-    for i, entry in enumerate(_expect_list(_get(obj, "places", where), f"{where}.places")):
-        entry = _expect_dict(entry, f"{where}.places[{i}]")
+    for i, entry in enumerate(expect_list(_get(obj, "places", where), f"{where}.places")):
+        entry = expect_dict(entry, f"{where}.places[{i}]")
         label = _get(entry, "label", f"{where}.places[{i}]")
         if not isinstance(label, str) or not label:
             raise SchemaError(f"{where}.places[{i}].label: expected a non-empty string")
@@ -191,31 +193,31 @@ def load_scenario(obj, where: str = "scenario") -> tuple[GlobalData, dict[str, t
     data = GlobalData(theta, module, tuple(places))
     classes = None
     if "local_classes" in obj:
-        raw = _expect_dict(obj["local_classes"], f"{where}.local_classes")
+        raw = expect_dict(obj["local_classes"], f"{where}.local_classes")
         classes = {}
         for label, coords in raw.items():
             if label not in seen:
                 raise SchemaError(f"{where}.local_classes.{label}: unknown place")
             classes[label] = tuple(
                 parse_int(x, f"{where}.local_classes.{label}[{i}]")
-                for i, x in enumerate(_expect_list(coords, f"{where}.local_classes.{label}"))
+                for i, x in enumerate(expect_list(coords, f"{where}.local_classes.{label}"))
             )
     return data, classes
 
 
 def load_tower(obj, where: str = "input") -> tuple[TowerConfig, tuple[int, ...]]:
-    obj = _expect_dict(obj, where)
+    obj = expect_dict(obj, where)
     data, _ = load_scenario(_get(obj, "scenario", where), f"{where}.scenario")
     n = parse_int(_get(obj, "n", where), f"{where}.n")
     sigma = []
-    for i, entry in enumerate(_expect_list(_get(obj, "sigma", where), f"{where}.sigma")):
-        entry = _expect_dict(entry, f"{where}.sigma[{i}]")
+    for i, entry in enumerate(expect_list(_get(obj, "sigma", where), f"{where}.sigma")):
+        entry = expect_dict(entry, f"{where}.sigma[{i}]")
         label = _get(entry, "label", f"{where}.sigma[{i}]")
         gens = []
         for j, pair in enumerate(
-            _expect_list(_get(entry, "generators", f"{where}.sigma[{i}]"), f"{where}.sigma[{i}].generators")
+            expect_list(_get(entry, "generators", f"{where}.sigma[{i}]"), f"{where}.sigma[{i}].generators")
         ):
-            pair = _expect_list(pair, f"{where}.sigma[{i}].generators[{j}]")
+            pair = expect_list(pair, f"{where}.sigma[{i}].generators[{j}]")
             if len(pair) != 2:
                 raise SchemaError(f"{where}.sigma[{i}].generators[{j}]: expected a pair")
             gens.append(
@@ -227,7 +229,7 @@ def load_tower(obj, where: str = "input") -> tuple[TowerConfig, tuple[int, ...]]
         sigma.append((label, tuple(gens)))
     alpha = tuple(
         parse_int(x, f"{where}.alpha[{i}]")
-        for i, x in enumerate(_expect_list(obj.get("alpha", []), f"{where}.alpha"))
+        for i, x in enumerate(expect_list(obj.get("alpha", []), f"{where}.alpha"))
     )
     extra = obj.get("extra_label", "w")
     if not isinstance(extra, str) or not extra:

@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abgroup import (
-    AbElement,
-    InducedMap,
-    LatticeQuotient,
-    direct_sum_quotients,
-)
+from .abgroup import AbElement, InducedMap, LatticeQuotient, common_kernel
 from .errors import DomainError, HypothesisFailError, TheoremViolationError, UnknownPlaceError
 from .gmodule import (
     FiniteGroup,
@@ -37,7 +32,7 @@ from .gmodule import (
     restrict_module,
     torsion_coinvariants,
 )
-from .matrices import IntMatrix, vstack
+from .matrices import IntMatrix
 
 __all__ = [
     "PlaceDatum",
@@ -141,9 +136,11 @@ class ShaResult:
         return size
 
 
-def _sha_result(pm: PlaceModule, domain: LatticeQuotient, target: LatticeQuotient, matrix: IntMatrix) -> ShaResult:
-    """The kernel of the map out of ``domain`` that ``matrix`` induces."""
-    ker = InducedMap(domain, target, matrix).kernel()
+def _sha_result(pm: PlaceModule, domain: LatticeQuotient, components) -> ShaResult:
+    """The kernel of the map out of ``domain`` into the direct sum of the
+    targets of ``components``, (target, matrix) pairs: the classes that every
+    component map sends to zero."""
+    ker = common_kernel(domain, [InducedMap(domain, target, matrix) for target, matrix in components])
     return ShaResult(
         group_invariants=ker.group.invariant_factors,
         kernel=ker,
@@ -158,11 +155,21 @@ def sha1_S(data: GlobalData) -> ShaResult:
 
     The target is taken as the full coinvariant group; a torsion class dies
     in the torsion part exactly when it dies there.  M[S] is the direct sum
-    of its fibers' modules, so its coinvariants are taken one place at a time.
+    of its fibers' modules, so a class dies in M[S]_Theta exactly when it dies
+    in each fiber's coinvariants, which it reaches through that fiber's block
+    of rows of the degree-zero basis.
     """
     pm = build_place_module(data)
-    target = direct_sum_quotients(coinvariants(permutation_module(f, data.module)) for f in pm.fibers)
-    return _sha_result(pm, torsion_coinvariants(pm.sub), target, pm.basis)
+    r = data.module.rank
+    rows = pm.basis.entries
+    components = []
+    start = 0
+    for f in pm.fibers:
+        stop = start + f.degree * r
+        block = IntMatrix(stop - start, pm.basis.cols, rows[start:stop])
+        components.append((coinvariants(permutation_module(f, data.module)), block))
+        start = stop
+    return _sha_result(pm, torsion_coinvariants(pm.sub), components)
 
 
 def _shapiro_matrix(pm: PlaceModule, label: str) -> IntMatrix:
@@ -191,15 +198,15 @@ def sha1_shapiro(data: GlobalData) -> ShaResult:
     """The same kernel through the local groups M_{Theta_v} directly.
 
     Each place contributes the map m*w -> [rep(w)^{-1} m] into the
-    coinvariants of its decomposition subgroup; the kernel of the direct sum
-    over places is returned.
+    coinvariants of its decomposition subgroup; the classes that every place
+    sends to zero are returned.
     """
     pm = build_place_module(data)
-    target = direct_sum_quotients(
-        coinvariants(restrict_module(data.module, p.decomposition)) for p in data.places
-    )
-    stacked = vstack([_shapiro_matrix(pm, p.label) for p in data.places], cols=pm.sub.rank)
-    return _sha_result(pm, torsion_coinvariants(pm.sub), target, stacked)
+    components = [
+        (coinvariants(restrict_module(data.module, p.decomposition)), _shapiro_matrix(pm, p.label))
+        for p in data.places
+    ]
+    return _sha_result(pm, torsion_coinvariants(pm.sub), components)
 
 
 # -- obstruction to the existence of a global class ----------------------

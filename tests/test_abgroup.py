@@ -11,7 +11,7 @@ from tatekit import (
     IntMatrix,
     LatticeQuotient,
     cokernel,
-    direct_sum_quotients,
+    common_kernel,
     element_order,
 )
 from tatekit.errors import MembershipError
@@ -23,7 +23,15 @@ from tatekit.gmodule import (
     permutation_module,
     trivial_module,
 )
-from tatekit.matrices import hnf_basis, hstack, kernel_basis, smith_normal_form, solve_matrix
+from tatekit.matrices import (
+    block_diagonal,
+    hnf_basis,
+    hstack,
+    kernel_basis,
+    smith_normal_form,
+    solve_matrix,
+    vstack,
+)
 from tatekit.sha import sha1_S, sha1_shapiro
 
 from test_sha import klein_data, quarter_turn_data
@@ -202,28 +210,48 @@ def test_identity_basis_quotient_agrees_with_general_path(data):
             q.contains_vector((0,) * (n + 1))
 
 
-def test_direct_sum_quotients():
-    a = cokernel(IntMatrix.from_rows([[2]]))
-    b = cokernel(IntMatrix.from_rows([[3]]))
-    s = direct_sum_quotients([a, b])
-    assert s.group.size() == 6
-
-
-def test_direct_sum_quotients_with_rank_zero_summands():
-    empty = direct_sum_quotients([])
-    assert empty.ambient_rank == 0 and empty.group.is_trivial
-    assert empty.project(()) == empty.zero()
-    zero = cokernel(IntMatrix.zeros(0, 0))
-    zero_rels = cokernel(IntMatrix.zeros(0, 2))  # rank 0, two (empty) relation columns
+def test_common_kernel_of_small_families():
     a = cokernel(IntMatrix.from_rows([[2, 0], [0, 0]]))  # Z/2 x Z
-    s = direct_sum_quotients([zero, a, zero_rels])
-    assert (s.ambient_rank, s.relations.cols) == (2, 4)
-    assert s.group == a.group
-    for v in ((1, 3), (4, -1), (0, 0)):
-        assert s.project(v) == a.project(v)
-    t = direct_sum_quotients([a.torsion(), zero, cokernel(IntMatrix.from_rows([[3]]))])
-    assert (t.ambient_rank, t.basis.cols) == (3, 2)
-    assert t.group.invariant_factors == (6,) and t.group.free_rank == 0
+    assert common_kernel(a, ()).group == a.group
+    # maps into rank-zero targets kill everything
+    zero = InducedMap(a, cokernel(IntMatrix.zeros(0, 0)), IntMatrix.zeros(0, 2))
+    zero_rels = InducedMap(a, cokernel(IntMatrix.zeros(0, 2)), IntMatrix.zeros(0, 2))
+    assert common_kernel(a, (zero, zero_rels)).group == a.group
+    first = InducedMap(a, cokernel(IntMatrix.from_rows([[2]])), IntMatrix.from_rows([[1, 0]]))
+    ker = common_kernel(a, (zero, first, zero_rels))
+    assert (ker.group.invariant_factors, ker.group.free_rank) == ((), 1)
+    # x -> (x mod 2, x mod 3)
+    for n, factors in ((6, ()), (12, (2,))):
+        q = cokernel(IntMatrix.from_rows([[n]]))
+        maps = [InducedMap(q, cokernel(IntMatrix.from_rows([[d]])), IntMatrix.identity(1)) for d in (2, 3)]
+        ker = common_kernel(q, maps)
+        assert ker.group.invariant_factors == factors and ker.group.is_finite
+        for x in ker.group.elements():
+            assert all(f(q.project(ker.lift(x))).is_zero() for f in maps)
+
+
+def test_common_kernel_rejects_a_map_from_another_source():
+    z4, z6 = cokernel(IntMatrix.from_rows([[4]])), cokernel(IntMatrix.from_rows([[6]]))
+    with pytest.raises(ValueError):
+        common_kernel(z4, (InducedMap(z6, z6, IntMatrix.identity(1)),))
+
+
+@given(st.data())
+def test_common_kernel_of_two_maps_is_the_kernel_of_their_stack(data):
+    s = data.draw(st.integers(1, 4))
+    r_src = _small_matrix(data, s, data.draw(st.integers(0, s + 1)))
+    source = cokernel(r_src)
+    if data.draw(st.booleans()):
+        source = source.torsion()
+    mats, rels = [], []
+    for _ in range(2):
+        t = data.draw(st.integers(0, 3))
+        m = _small_matrix(data, t, s)
+        mats.append(m)
+        rels.append(hstack([m @ r_src, _small_matrix(data, t, data.draw(st.integers(0, t)))], rows=t))
+    ker = common_kernel(source, [InducedMap(source, cokernel(r), m) for m, r in zip(mats, rels)])
+    whole = InducedMap(source, cokernel(block_diagonal(rels)), vstack(mats, cols=s)).kernel()
+    assert (ker.basis, ker.relations, ker.rel_in_basis) == (whole.basis, whole.relations, whole.rel_in_basis)
 
 
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=2, max_size=2))

@@ -401,13 +401,10 @@ def test_transfer_is_transversal_independent():
     src = coinvariants(m)
     target = coinvariants(restrict_module(m, half))
     x = src.project((1, 0))
-    default = transfer(m, half, x)
-    other = transfer(m, half, x, reps=(0, 3))
-    assert target.project(target.lift(default)) == target.project(target.lift(other))
-    with pytest.raises(ValueError):
-        transfer_matrix(m, half, reps=(0, 2))  # both lie in the subgroup
-    with pytest.raises(ValueError):
-        transfer_matrix(m, half, reps=(0,))
+    # {0, 3} is another right transversal of the subgroup {0, 2}
+    assert half.right_reps != (0, 3)
+    other = (m.action[0] + m.action[3]).mul_vec(src.lift(x))
+    assert transfer(m, half, x) == target.project(other)
 
 
 def test_transfer_to_full_subgroup_is_norm():

@@ -1,11 +1,13 @@
 """Localization kernels, the global-class obstruction, and the collapse map."""
 
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tatekit import sha
+from tatekit import cli, serial, sha
+from tatekit.abgroup import InducedMap, cokernel
 from tatekit.errors import DomainError, HypothesisFailError, UnknownPlaceError
 from tatekit.gmodule import (
     augmentation_kernel_module,
@@ -20,10 +22,12 @@ from tatekit.gmodule import (
     permutation_module,
     pullback_module,
     quotient_group,
+    restrict_module,
     subgroup,
+    torsion_coinvariants,
     trivial_module,
 )
-from tatekit.matrices import IntMatrix
+from tatekit.matrices import IntMatrix, block_diagonal, vstack
 from tatekit.sha import (
     GlobalData,
     PlaceDatum,
@@ -81,24 +85,56 @@ def _small_scenarios(corpus):
                     yield GlobalData(g, module, places)
 
 
-def test_sha1_S_target_is_the_coinvariants_of_the_whole_place_module(corpus, monkeypatch):
-    # the target is summed place by place; it must present the same quotient
-    # as the coinvariants of the dense M[S]
-    targets = []
-    real = sha._sha_result
-
-    def spy(pm, domain, target, matrix):
-        targets.append(target)
-        return real(pm, domain, target, matrix)
-
-    monkeypatch.setattr(sha, "_sha_result", spy)
+def test_sha1_kernels_equal_the_kernels_into_the_whole_direct_sums(corpus):
+    # each form takes the classes that every place's map kills; that must be
+    # the kernel of one map into the coinvariants of the dense M[S], and into
+    # the direct sum of the local coinvariants
     for data in _small_scenarios(corpus):
-        sha1_S(data)
-        whole = coinvariants(permutation_module(build_place_module(data).action, data.module))
-        target = targets.pop()
-        assert (target.basis, target.relations, target.snf.s, target.snf.u, target.snf.u_inv) == (
-            whole.basis, whole.relations, whole.snf.s, whole.snf.u, whole.snf.u_inv
-        ), data
+        pm = build_place_module(data)
+        domain = torsion_coinvariants(pm.sub)
+        whole = coinvariants(permutation_module(pm.action, data.module))
+        local = [coinvariants(restrict_module(data.module, p.decomposition)) for p in data.places]
+        shapiro = cokernel(block_diagonal([q.relations for q in local]))
+        stacked = vstack([sha._shapiro_matrix(pm, p.label) for p in data.places], cols=pm.sub.rank)
+        for got, ker in (
+            (sha1_S(data).kernel, InducedMap(domain, whole, pm.basis).kernel()),
+            (sha1_shapiro(data).kernel, InducedMap(domain, shapiro, stacked).kernel()),
+        ):
+            assert (got.basis, got.relations) == (ker.basis, ker.relations), data
+
+
+def _sha1_payload(data: GlobalData) -> dict:
+    theta, module = data.theta, data.module
+    return {
+        "scenario": {
+            "theta": {"mul_table": [list(row) for row in theta.table]},
+            "module": {
+                "rank": module.rank,
+                "generators": [
+                    {"element_index": g, "matrix": [list(row) for row in module.action[g].entries]}
+                    for g in theta.elements()
+                ],
+            },
+            "places": [
+                {"label": p.label, "decomposition_members": list(p.decomposition.members)} for p in data.places
+            ],
+        }
+    }
+
+
+# sha256 of the 252 canonical sha1 results below, one line each, as emitted
+# at commit 8615afc; a change to any generator, sign or order shows here
+SHA1_RESULTS_DIGEST = "37cfa23239745dc662e6911e3ac29aacfcc877ea3d36bc448b9b76efe0fde072"
+
+
+def test_sha1_report_bytes_are_pinned(corpus):
+    digest = hashlib.sha256()
+    count = 0
+    for data in _small_scenarios(corpus):
+        result = cli.run_job(cli.Job("sha1", _sha1_payload(data)))["result"]
+        digest.update(serial.canonical_dumps(result).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == (252, SHA1_RESULTS_DIGEST)
 
 
 def test_sha1_never_builds_the_whole_permutation_module(corpus, monkeypatch):
