@@ -210,7 +210,7 @@ def test_identity_basis_quotient_agrees_with_general_path(data):
             q.contains_vector((0,) * (n + 1))
 
 
-def test_common_kernel_of_small_families():
+def test_common_kernel_of_the_empty_family_and_of_maps_into_rank_zero_targets():
     a = cokernel(IntMatrix.from_rows([[2, 0], [0, 0]]))  # Z/2 x Z
     assert common_kernel(a, ()).group == a.group
     # maps into rank-zero targets kill everything
@@ -220,6 +220,9 @@ def test_common_kernel_of_small_families():
     first = InducedMap(a, cokernel(IntMatrix.from_rows([[2]])), IntMatrix.from_rows([[1, 0]]))
     ker = common_kernel(a, (zero, first, zero_rels))
     assert (ker.group.invariant_factors, ker.group.free_rank) == ((), 1)
+
+
+def test_common_kernel_of_reductions_mod_2_and_mod_3():
     # x -> (x mod 2, x mod 3)
     for n, factors in ((6, ()), (12, (2,))):
         q = cokernel(IntMatrix.from_rows([[n]]))
