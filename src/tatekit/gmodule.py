@@ -1,7 +1,10 @@
 """Finite groups acting on integer lattices, and their norm-kernel groups.
 
-A module is a finite group together with one unimodular integer matrix per
-element; the action map is verified to be a homomorphism at construction.
+A module is a finite group together with the integer matrices by which the
+elements of its ``generating_set()`` act; the matrix of any other element is
+their product along the Cayley graph.  Modules built from outside data go
+through :func:`module_from_generators`, which checks the group law on every
+Cayley-graph edge.
 Coinvariants and their torsion part M_{G,Tors}, invariants, the norm map,
 its kernel on coinvariant classes, and transfer maps to subgroups are all
 computed exactly through the lattice presentations in :mod:`tatekit.abgroup`.
@@ -33,7 +36,6 @@ __all__ = [
     "generated_subgroup",
     "coset_action",
     "disjoint_union_action",
-    "gmodule",
     "module_from_generators",
     "trivial_module",
     "augmentation_kernel_module",
@@ -100,6 +102,10 @@ class FiniteGroup:
 
     def generating_set(self) -> tuple[int, ...]:
         """Deterministic small generating set (greedy by element index)."""
+        return self._generating_set
+
+    @cached_property
+    def _generating_set(self) -> tuple[int, ...]:
         gens: list[int] = []
         closure = {self.identity}
         for g in self.elements():
@@ -383,11 +389,14 @@ class PermAction:
         for p in self.images:
             if sorted(p) != list(range(self.degree)):
                 raise ValueError("images must be permutations")
+        # a(bx) = (ab)x for every generator b gives it for every b, by
+        # induction on a word for b
+        gens = g.generating_set()
         for a in g.elements():
-            for b in g.elements():
-                ab = g.mul(a, b)
-                pa, pb, pab = self.images[a], self.images[b], self.images[ab]
-                if any(pa[pb[x]] != pab[x] for x in range(self.degree)):
+            pa = self.images[a]
+            for s in gens:
+                ps, pas = self.images[s], self.images[g.mul(a, s)]
+                if any(pa[ps[x]] != pas[x] for x in range(self.degree)):
                     raise ValueError("not a group action")
 
     def act(self, g: int, x: int) -> int:
@@ -443,47 +452,51 @@ def disjoint_union_action(actions) -> PermAction:
 
 @dataclass(frozen=True)
 class GModule:
-    """Integer lattice with a verified action of a finite group."""
+    """Integer lattice with an action of a finite group, given on generators.
+
+    ``gens`` holds the matrices of ``group.generating_set()``, in that order;
+    hash and equality read only them.  ``act(g)`` multiplies them out along
+    the Cayley graph, once per module.  Nothing here checks the action: build
+    modules from outside data with :func:`module_from_generators`.
+    """
 
     group: FiniteGroup
     rank: int
-    action: tuple[IntMatrix, ...]
+    gens: tuple[IntMatrix, ...]
 
     def act(self, g: int) -> IntMatrix:
-        return self.action[g]
+        return self._table[g]
+
+    @cached_property
+    def _table(self) -> tuple[IntMatrix, ...]:
+        gens = dict(zip(self.group.generating_set(), self.gens))
+        action = {self.group.identity: IntMatrix.identity(self.rank), **gens}
+        _multiply_out(self.group, action, gens)
+        return tuple(action[g] for g in self.group.elements())
 
 
-def gmodule(group: FiniteGroup, action) -> GModule:
-    """Build a module from one matrix per group element.
-
-    The identity, unimodularity, and the homomorphism law (via a generating
-    set) are all verified.
-    """
-    action = tuple(action)
-    if len(action) != group.order:
-        raise ValueError("need one matrix per group element")
-    rank = action[group.identity].rows if group.order else 0
-    for m in action:
-        if m.rows != rank or m.cols != rank:
-            raise ValueError("all action matrices must be rank x rank")
-    if action[group.identity] != IntMatrix.identity(rank):
-        raise ValueError("identity must act as the identity matrix")
-    for m in action:
-        if abs(m.det()) != 1:
-            raise ValueError("action matrices must be unimodular")
-    gens = group.generating_set()
-    for g in group.elements():
-        for s in gens:
-            if action[group.mul(g, s)] != action[g] @ action[s]:
-                raise ValueError("action map is not a homomorphism")
-    return GModule(group, rank, action)
+def _multiply_out(group: FiniteGroup, action: dict, gen_matrices: dict) -> None:
+    """Extend ``action`` along the Cayley graph of ``gen_matrices``: the first
+    edge a -> a*g to reach a new element assigns it action[a] @ gen_matrices[g]."""
+    frontier = list(action)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g, m in gen_matrices.items():
+                b = group.mul(a, g)
+                if b not in action:
+                    action[b] = action[a] @ m
+                    nxt.append(b)
+        frontier = nxt
 
 
 def module_from_generators(group: FiniteGroup, rank: int, gen_matrices: dict) -> GModule:
-    """Complete an action given on generators, checking consistency.
+    """The module on which the given elements act by the given matrices.
 
-    ``gen_matrices`` maps element indices to matrices.  Every element must be
-    reachable as a product of the given generators.
+    ``gen_matrices`` maps element indices to matrices, and the elements must
+    generate the group.  Every Cayley-graph edge a -> a*g is checked to carry
+    A(a) to A(a) @ A(g).  That is the homomorphism law, and in a finite group
+    it also makes every matrix invertible: A(g)^|g| = A(1) = I.
     """
     action: dict[int, IntMatrix] = {group.identity: IntMatrix.identity(rank)}
     for g, m in gen_matrices.items():
@@ -492,27 +505,19 @@ def module_from_generators(group: FiniteGroup, rank: int, gen_matrices: dict) ->
         if g in action and action[g] != m:
             raise ValueError("inconsistent generator assignment")
         action[g] = m
-    frontier = list(action)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g, m in gen_matrices.items():
-                b = group.mul(a, g)
-                mb = action[a] @ m
-                if b not in action:
-                    action[b] = mb
-                    nxt.append(b)
-                elif action[b] != mb:
-                    raise ValueError("generator matrices are inconsistent with the group law")
-        frontier = nxt
+    _multiply_out(group, action, gen_matrices)
+    for a in action:
+        for g, m in gen_matrices.items():
+            if action[group.mul(a, g)] != action[a] @ m:
+                raise ValueError("generator matrices are inconsistent with the group law")
     if len(action) != group.order:
         raise ValueError("generators do not generate the group")
-    return gmodule(group, [action[g] for g in group.elements()])
+    return GModule(group, rank, tuple(action[s] for s in group.generating_set()))
 
 
 def trivial_module(group: FiniteGroup, rank: int) -> GModule:
     eye = IntMatrix.identity(rank)
-    return GModule(group, rank, tuple(eye for _ in group.elements()))
+    return GModule(group, rank, tuple(eye for _ in group.generating_set()))
 
 
 def augmentation_kernel_module(group: FiniteGroup) -> GModule:
@@ -524,7 +529,7 @@ def augmentation_kernel_module(group: FiniteGroup) -> GModule:
     others = [g for g in group.elements() if g != group.identity]
     pos = {g: i for i, g in enumerate(others)}
     mats = []
-    for h in group.elements():
+    for h in group.generating_set():
         cols = []
         for g in others:
             hg = group.mul(h, g)
@@ -536,19 +541,19 @@ def augmentation_kernel_module(group: FiniteGroup) -> GModule:
                 col[pos[he]] -= 1
             cols.append(col)
         mats.append(IntMatrix(n - 1, n - 1, tuple(tuple(col[i] for col in cols) for i in range(n - 1))))
-    return gmodule(group, mats)
+    return GModule(group, n - 1, tuple(mats))
 
 
 def restrict_module(module: GModule, sub: Subgroup) -> GModule:
     if sub.parent != module.group:
         raise SubgroupMismatchError("subgroup belongs to a different group")
     g, members = sub.as_group()
-    return GModule(g, module.rank, tuple(module.action[m] for m in members))
+    return GModule(g, module.rank, tuple(module.act(members[s]) for s in g.generating_set()))
 
 
 def pullback_module(module: GModule, group: FiniteGroup, hom) -> GModule:
     """Module over ``group`` acting through a homomorphism into module.group."""
-    return GModule(group, module.rank, tuple(module.action[hom[g]] for g in group.elements()))
+    return GModule(group, module.rank, tuple(module.act(hom[s]) for s in group.generating_set()))
 
 
 def direct_sum_modules(modules) -> GModule:
@@ -557,10 +562,8 @@ def direct_sum_modules(modules) -> GModule:
     if any(m.group != g for m in modules):
         raise ValueError("modules must share the group")
     rank = sum(m.rank for m in modules)
-    action = tuple(
-        block_diagonal([m.action[e] for m in modules]) for e in g.elements()
-    )
-    return GModule(g, rank, action)
+    gens = tuple(map(block_diagonal, zip(*(m.gens for m in modules))))
+    return GModule(g, rank, gens)
 
 
 def permutation_module(action: PermAction, coeff: GModule) -> GModule:
@@ -574,8 +577,7 @@ def permutation_module(action: PermAction, coeff: GModule) -> GModule:
     r = coeff.rank
     n = action.degree * r
     mats = []
-    for g in coeff.group.elements():
-        m = coeff.action[g]
+    for g, m in zip(coeff.group.generating_set(), coeff.gens):
         data = [[0] * n for _ in range(n)]
         for w in range(action.degree):
             gw = action.images[g][w]
@@ -607,7 +609,8 @@ def degree_zero_submodule(action: PermAction, coeff: GModule) -> tuple[GModule, 
             cols.append(col)
     basis = IntMatrix(deg * r, sub_rank, tuple(tuple(c[t] for c in cols) for t in range(deg * r)))
     mats = tuple(
-        degree_zero_map(action.images[g], deg, coeff.action[g]) for g in coeff.group.elements()
+        degree_zero_map(action.images[g], deg, m)
+        for g, m in zip(coeff.group.generating_set(), coeff.gens)
     )
     return GModule(coeff.group, sub_rank, mats), basis
 
@@ -653,7 +656,7 @@ def coinvariants(module: GModule) -> LatticeQuotient:
     by their Hermite normal form, so the quotient depends only on that lattice.
     """
     r = module.rank
-    blocks = [module.action[g] - IntMatrix.identity(r) for g in module.group.generating_set()]
+    blocks = [m - IntMatrix.identity(r) for m in module.gens]
     return cokernel(hnf_basis(hstack(blocks, rows=r)))
 
 
@@ -666,17 +669,13 @@ def torsion_coinvariants(module: GModule) -> LatticeQuotient:
 def invariants(module: GModule) -> IntMatrix:
     """Hermite normal form basis (as columns) of the fixed sublattice M^G."""
     r = module.rank
-    gens = module.group.generating_set()
-    stacked = vstack(
-        [module.action[g] - IntMatrix.identity(r) for g in gens], cols=r
-    )
-    return kernel_basis(stacked)
+    return kernel_basis(vstack([m - IntMatrix.identity(r) for m in module.gens], cols=r))
 
 
 def norm_matrix(module: GModule) -> IntMatrix:
     total = IntMatrix.zeros(module.rank, module.rank)
     for g in module.group.elements():
-        total = total + module.action[g]
+        total = total + module.act(g)
     return total
 
 
@@ -721,7 +720,7 @@ def transfer_matrix(module: GModule, sub: Subgroup) -> IntMatrix:
         raise SubgroupMismatchError("subgroup belongs to a different group")
     total = IntMatrix.zeros(module.rank, module.rank)
     for r in sub.right_reps:
-        total = total + module.action[r]
+        total = total + module.act(r)
     return total
 
 
@@ -735,7 +734,7 @@ def transfer(
 
     ``x`` may live in the coinvariant group of ``module`` or in a subquotient
     of it passed as ``source`` (for instance its torsion subgroup).  The
-    result is the class of sum_r action(r) m over a right transversal, taken
+    result is the class of sum_r act(r) m over a right transversal, taken
     in the coinvariants of the restricted module.
     """
     if sub.parent != module.group:

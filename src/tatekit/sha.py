@@ -181,7 +181,7 @@ def _shapiro_matrix(pm: PlaceModule, label: str) -> IntMatrix:
     rows = [[0] * n_big for _ in range(r)]
     for w in pm.fiber(label):
         rep = pm.points[w][1]
-        block = data.module.action[data.theta.inv(rep)]
+        block = data.module.act(data.theta.inv(rep))
         for i in range(r):
             for j in range(r):
                 rows[i][w * r + j] = block.entries[i][j]
@@ -310,7 +310,7 @@ def lemma_pushforward(
         raise DomainError("intermediate subgroup must be normal")
     eye = IntMatrix.identity(module.rank)
     for h in sub_ef.members:
-        if module.action[h] != eye:
+        if module.act(h) != eye:
             raise DomainError("the lattice action must factor through the quotient group")
 
     # orbit space of sub_ef = the lower place set, with the quotient action
@@ -332,7 +332,7 @@ def lemma_pushforward(
         for q in quot.elements()
     )
     action_f = PermAction(quot, n_orbits, images_f)
-    module_f = GModule(quot, module.rank, tuple(module.action[reps[q]] for q in quot.elements()))
+    module_f = GModule(quot, module.rank, tuple(module.act(reps[q]) for q in quot.generating_set()))
 
     deg0_e = degree_zero_submodule(action_e, module)[0]
     deg0_f = degree_zero_submodule(action_f, module_f)[0]

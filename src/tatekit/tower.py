@@ -543,13 +543,12 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
     prev_members = sorted(
         {t * e + (c * n_prev) % e for t in theta.elements() for c in range(n)}
     )
-    mats_prev = {pm_s.sub.action[g] for g in prev_members}
-    mats_top = {pm_s.sub.action[g] for g in theta0.members}
+    mats_prev = {pm_s.sub.act(g) for g in prev_members}
+    mats_top = {pm_s.sub.act(g) for g in theta0.members}
     if mats_prev != mats_top:
         raise TheoremViolationError("action images at the top two levels differ")
 
     arank = pm_s.sub.rank
-    act = pm_s.sub.action
     ident = theta.identity * e
 
     def sigma_power_sum(count: int, stride: int) -> IntMatrix:
@@ -562,7 +561,7 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
         for k in range(period):
             w = q + (1 if k < rem else 0)
             if w:
-                total = total + act[ident + (k * st) % e].scaled(w)
+                total = total + pm_s.sub.act(ident + (k * st) % e).scaled(w)
         return total
 
     t_full = sigma_power_sum(ns, 1)

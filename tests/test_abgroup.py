@@ -391,7 +391,7 @@ def test_kernels_do_not_depend_on_the_generators_of_either_relation_lattice(corp
         res = sha1_S(data)
         pm = res.place_module
         big = permutation_module(pm.action, data.module)
-        every = hstack([m - IntMatrix.identity(big.rank) for m in big.action], rows=big.rank)
+        every = hstack([m - IntMatrix.identity(big.rank) for m in map(big.act, data.theta.elements())], rows=big.rank)
         cases.append((name, res.domain, pm.basis, every))
     for name, mname, module in _corpus_modules(corpus):
         if module.rank <= 8:

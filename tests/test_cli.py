@@ -30,7 +30,7 @@ def klein_scenario():
         "module": {
             "rank": 3,
             "generators": [
-                {"element_index": g, "matrix": matrix_rows(aug.action[g])} for g in (1, 2)
+                {"element_index": g, "matrix": matrix_rows(aug.act(g))} for g in (1, 2)
             ],
         },
         "places": [

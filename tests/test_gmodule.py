@@ -18,11 +18,11 @@ from tatekit.gmodule import (
     direct_sum_modules,
     disjoint_union_action,
     dihedral,
+    direct_product,
     finite_group,
     from_permutations,
     full_subgroup,
     generated_subgroup,
-    gmodule,
     invariants,
     klein_four,
     module_from_generators,
@@ -41,7 +41,15 @@ from tatekit.gmodule import (
     trivial_module,
     PermAction,
 )
-from tatekit.matrices import IntMatrix, hnf_basis, hstack, smith_normal_form, solve_matrix_strict, vstack
+from tatekit.matrices import (
+    IntMatrix,
+    block_diagonal,
+    hnf_basis,
+    hstack,
+    smith_normal_form,
+    solve_matrix_strict,
+    vstack,
+)
 from tatekit.tower import enumerate_subgroups
 
 
@@ -205,7 +213,7 @@ def test_degree_zero_action_intertwines_with_basis(corpus):
             big = permutation_module(action, coeff)
             assert basis.cols == sub.rank == (action.degree - 1) * coeff.rank
             for e in g.elements():
-                assert basis @ sub.action[e] == big.action[e] @ basis, (name, e)
+                assert basis @ sub.act(e) == big.act(e) @ basis, (name, e)
 
 
 def test_degree_zero_submodule_of_one_point_or_rank_zero_coefficients(corpus):
@@ -224,10 +232,10 @@ def test_degree_zero_submodule_of_one_point_or_rank_zero_coefficients(corpus):
             big = permutation_module(action, coeff)
             assert sub.rank == basis.cols == (action.degree - 1) * coeff.rank == 0
             assert basis.rows == big.rank == action.degree * coeff.rank
-            assert all(m == IntMatrix.zeros(0, 0) for m in sub.action)
-            assert all((m.rows, m.cols) == (big.rank, big.rank) for m in big.action)
+            assert all(m == IntMatrix.zeros(0, 0) for m in map(sub.act, g.elements()))
+            assert all((m.rows, m.cols) == (big.rank, big.rank) for m in map(big.act, g.elements()))
             for e in g.elements():
-                assert basis @ sub.action[e] == big.action[e] @ basis, (name, e)
+                assert basis @ sub.act(e) == big.act(e) @ basis, (name, e)
 
 
 def _degree_zero_map_by_solve(images, target_degree, block):
@@ -282,23 +290,24 @@ def test_degree_zero_map_equals_the_solved_transport():
 
 
 def test_gmodule_check_rejects_bad_actions():
+    # every element's matrix is listed, so each one is also a generator
     z2 = cyclic(2)
     eye = IntMatrix.identity(1)
     with pytest.raises(ValueError):
-        gmodule(z2, [eye, IntMatrix.from_rows([[2]])])  # not unimodular
+        module_from_generators(z2, 1, dict(enumerate([eye, IntMatrix.from_rows([[2]])])))  # not unimodular
     z4 = cyclic(4)
     minus = IntMatrix.from_rows([[-1]])
     with pytest.raises(ValueError):
         # 1 acts trivially but 2 does not: no homomorphism does that
-        gmodule(z4, [eye, eye, minus, eye])
+        module_from_generators(z4, 1, dict(enumerate([eye, eye, minus, eye])))
 
 
 def test_module_from_generators_completion_and_errors():
     z4 = cyclic(4)
     rot = IntMatrix.from_rows([[0, -1], [1, 0]])
     m = module_from_generators(z4, 2, {1: rot})
-    assert m.action[2] == rot @ rot
-    assert m.action[3] == rot @ rot @ rot
+    assert m.act(2) == rot @ rot
+    assert m.act(3) == rot @ rot @ rot
     with pytest.raises(ValueError):
         module_from_generators(cyclic(2), 1, {1: IntMatrix.from_rows([[2]])})
     with pytest.raises(ValueError):
@@ -318,8 +327,42 @@ def test_pullback_through_quotient_projection():
     q, proj = quotient_group(z4, generated_subgroup(z4, [2]))
     sign = module_from_generators(q, 1, {1: IntMatrix.from_rows([[-1]])})
     lifted = pullback_module(sign, z4, proj)
-    assert lifted.action[1] == IntMatrix.from_rows([[-1]])
-    assert lifted.action[2] == IntMatrix.identity(1)
+    assert lifted.act(1) == IntMatrix.from_rows([[-1]])
+    assert lifted.act(2) == IntMatrix.identity(1)
+
+
+def _regular_representation(g, h):
+    """The permutation matrix of h on Z[G], e_x -> e_(hx)."""
+    return IntMatrix.from_rows([[int(y == g.mul(h, x)) for x in g.elements()] for y in g.elements()])
+
+
+def test_every_builder_acts_by_its_definition_on_every_element(corpus):
+    # each builder stores its generators' matrices only; every other
+    # element's matrix is their product, which must match the definition
+    for name, g in corpus.items():
+        aug = augmentation_kernel_module(g)
+        triv = trivial_module(g, 2)
+        # e_x - e_1 for x != 1, as columns of Z[G]
+        others = [x for x in g.elements() if x != g.identity]
+        embed = IntMatrix.from_rows(
+            [[int(y == x) - int(y == g.identity) for x in others] for y in g.elements()]
+        )
+        total = direct_sum_modules([aug, triv])
+        for e in g.elements():
+            assert embed @ aug.act(e) == _regular_representation(g, e) @ embed, (name, e)
+            assert triv.act(e) == IntMatrix.identity(2), (name, e)
+            assert total.act(e) == block_diagonal([aug.act(e), triv.act(e)]), (name, e)
+        for x in g.elements():
+            sub = generated_subgroup(g, [x])
+            inner, members = sub.as_group()
+            res = restrict_module(aug, sub)
+            assert all(res.act(i) == aug.act(members[i]) for i in inner.elements()), (name, x)
+        # the tower's effective group Theta x Z/e acts through its first factor
+        e = 3
+        geff = direct_product(g, cyclic(e))
+        hom = tuple(y // e for y in geff.elements())
+        pulled = pullback_module(aug, geff, hom)
+        assert all(pulled.act(y) == aug.act(hom[y]) for y in geff.elements()), name
 
 
 # -- coinvariants, invariants, Tate groups ---------------------------------
@@ -403,14 +446,14 @@ def test_transfer_is_transversal_independent():
     x = src.project((1, 0))
     # {0, 3} is another right transversal of the subgroup {0, 2}
     assert half.right_reps != (0, 3)
-    other = (m.action[0] + m.action[3]).mul_vec(src.lift(x))
+    other = (m.act(0) + m.act(3)).mul_vec(src.lift(x))
     assert transfer(m, half, x) == target.project(other)
 
 
 def test_transfer_to_full_subgroup_is_norm():
     m = quarter_turn()
     whole = subgroup(m.group, list(m.group.elements()))
-    assert transfer_matrix(m, whole) == m.action[m.group.identity]
+    assert transfer_matrix(m, whole) == m.act(m.group.identity)
 
 
 def test_transfer_rejects_foreign_subgroup():
@@ -427,7 +470,10 @@ def test_coinvariants_over_generators_equal_those_over_every_element(corpus):
         aug = augmentation_kernel_module(g)
         for module in (trivial_module(g, 2), aug, direct_sum_modules([aug, trivial_module(g, 1)])):
             r = module.rank
-            every = hstack([module.action[e] - IntMatrix.identity(r) for e in g.elements()], rows=r)
+            every = hstack([module.act(e) - IntMatrix.identity(r) for e in g.elements()], rows=r)
+            # listing every element's matrix presents the same module
+            listed = module_from_generators(g, r, {e: module.act(e) for e in g.elements()})
+            assert listed == module and hash(listed) == hash(module), (name, r)
             q, ref = coinvariants(module), cokernel(hnf_basis(every))
             assert (q.basis, q.relations, q.snf.s, q.snf.u, q.snf.u_inv) == (
                 ref.basis, ref.relations, ref.snf.s, ref.snf.u, ref.snf.u_inv
@@ -443,7 +489,7 @@ def test_invariants_and_tate_h0_are_presented_by_hermite_normal_forms(corpus):
         aug = augmentation_kernel_module(g)
         for module in (trivial_module(g, 2), aug, direct_sum_modules([aug, trivial_module(g, 1)])):
             r = module.rank
-            moves = [module.action[e] - IntMatrix.identity(r) for e in g.generating_set()]
+            moves = [module.act(e) - IntMatrix.identity(r) for e in g.generating_set()]
             fixed = invariants(module)
             assert hnf_basis(fixed) == fixed, (name, r)
             assert all((m @ fixed).is_zero() for m in moves), (name, r)

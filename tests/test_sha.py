@@ -111,7 +111,7 @@ def _sha1_payload(data: GlobalData) -> dict:
             "module": {
                 "rank": module.rank,
                 "generators": [
-                    {"element_index": g, "matrix": [list(row) for row in module.action[g].entries]}
+                    {"element_index": g, "matrix": [list(row) for row in module.act(g).entries]}
                     for g in theta.elements()
                 ],
             },

@@ -70,3 +70,14 @@ def test_every_smith_form_field_is_a_matrix_the_tracer_can_read():
         for field in (sf.u, sf.v, sf.u_inv, sf.v_inv):
             assert isinstance(field, IntMatrix)
             assert bits(field) >= 0
+
+
+def test_every_package_attribute_named_after_a_submodule_is_that_submodule():
+    # a re-exported name equal to its submodule's would shadow it, and
+    # ``import tatekit.<name> as m`` would then bind that object instead
+    package = importlib.import_module("tatekit")
+    names = sorted(p.stem for p in Path(package.__file__).parent.glob("*.py") if p.stem != "__init__")
+    assert "gmodule" in names
+    for name in names:
+        module = importlib.import_module(f"tatekit.{name}")
+        assert getattr(package, name) is module, name
