@@ -6,8 +6,9 @@ sorted keys, integers as decimal strings, a sha256 digest of the canonical
 input, the package version, and the list of operations the derivation went
 through.  ``run`` executes a job object ``{"op": ..., "input": ...}`` and
 ``run --batch`` a whole file of them, one after another in file order.
-Each command line is parsed by a parser that declares only the subcommand
-it names.
+A plain command line is read without argparse; any other spelling, help and
+``--version`` go to the full argparse parser, which alone prints usage and
+errors.
 
 Exit codes: 0 on success, 1 when the input is outside an operation's domain
 (including parse and schema problems), 2 when a certified statement fails
@@ -16,11 +17,11 @@ to verify, which indicates corrupted inputs or a genuine bug.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from dataclasses import dataclass
 from functools import cache
+from types import SimpleNamespace
 
 from . import __version__, serial
 from .errors import DomainError, SchemaError, TatekitError, TheoremViolationError
@@ -375,12 +376,13 @@ _COMMANDS = (*_HANDLERS, "run")
 
 
 @cache
-def _build_parser(commands: tuple[str, ...] = _COMMANDS) -> argparse.ArgumentParser:
-    """A parser declaring ``commands``, built on first use; parsing leaves it unchanged.
+def _build_parser():
+    """The full argparse parser, built on first use; parsing leaves it unchanged.
 
-    A subparser does not depend on the commands declared beside it, so a
-    parser of one command parses that command's lines as the full parser does.
+    argparse is imported here, so a plain command line never loads it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tatekit",
         description="exact computations on group lattices, local square classes, "
@@ -388,7 +390,7 @@ def _build_parser(commands: tuple[str, ...] = _COMMANDS) -> argparse.ArgumentPar
     )
     parser.add_argument("--version", action="version", version=f"tatekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
+    for name in _COMMANDS:
         if name == "run":
             sp = sub.add_parser(name, help="execute a job object {op, input}, or a batch of them")
             sp.add_argument("input", nargs="?", help="path to a job JSON, or - for stdin")
@@ -401,18 +403,44 @@ def _build_parser(commands: tuple[str, ...] = _COMMANDS) -> argparse.ArgumentPar
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with a parser of the named command alone, else with the full one.
+def _is_plain(token: str) -> bool:
+    return token == "-" or not token.startswith("-")
 
-    Help, version, no command or an unknown one need the full parser; so do
-    unrecognised arguments, which argparse reports under the top-level usage
-    line that lists every command.
+
+def _read_plain_line(argv: list[str]) -> SimpleNamespace | None:
+    """The full parser's fields for ``<op> INPUT`` or ``run [INPUT] [--batch FILE]``,
+    each with ``[--out FILE] [--trace]`` in any order; None for any other line.
+
+    It declines spellings argparse also accepts (``--out=FILE``, abbreviations,
+    ``--``, a value starting with ``-``, a repeated ``--out`` or ``--batch``).
     """
-    if argv and argv[0] in _COMMANDS:
-        args, extra = _build_parser((argv[0],)).parse_known_args(argv)
-        if not extra:
-            return args
-    return _build_parser().parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    args = {"command": argv[0], "input": None, "out": None, "trace": False}
+    if argv[0] == "run":
+        args["batch"] = None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--trace":
+            args["trace"] = True
+        elif token in ("--out", "--batch") and args.get(token[2:], "") is None:  # declared, unset
+            value = next(tokens, "--")  # a missing value is declined like an option
+            if not _is_plain(value):
+                return None
+            args[token[2:]] = value
+        elif _is_plain(token) and args["input"] is None:
+            args["input"] = token
+        else:
+            return None
+    if args["input"] is None and argv[0] != "run":
+        return None
+    return SimpleNamespace(**args)
+
+
+def _parse_args(argv: list[str]):
+    """Read a plain line directly; hand any other line to the full parser,
+    which prints help, version, usage and errors as argparse does."""
+    return _read_plain_line(argv) or _build_parser().parse_args(argv)
 
 
 def _echo_trace(body: dict) -> None:

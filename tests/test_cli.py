@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -404,26 +407,63 @@ def test_parser_survives_a_rejected_command_line(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-# -- one-command parsers --------------------------------------------------------
+# -- plain lines and the full parser --------------------------------------------
 
 VALID_ARGVS = (
     [[name, "in.json"] for name in cli._HANDLERS]
     + [[name, "-", "--out", "o.json", "--trace"] for name in cli._HANDLERS]
     + [[name, "--trace", "in.json"] for name in cli._HANDLERS]
     + [
+        ["snf", "in.json", "--out", "-"],
+        ["snf", "in.json", "--out", ""],
+        ["snf", "--trace", "in.json", "--trace"],
         ["run"],
         ["run", "job.json"],
         ["run", "-", "--trace"],
         ["run", "--batch", "b.json", "--out", "o.json", "--trace"],
         ["run", "job.json", "--batch", "b.json"],
+        ["run", "--batch", "b.json", "job.json"],
     ]
 )
 
 
 @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
 def test_one_command_parser_matches_the_full_parser(argv):
-    one = cli._build_parser((argv[0],)).parse_args(argv)
-    assert one == cli._build_parser().parse_args(argv)
+    # the plain-line reader took the place of the one-command parser
+    assert vars(cli._read_plain_line(argv)) == vars(cli._build_parser().parse_args(argv))
+
+
+def test_plain_lines_never_build_a_parser(monkeypatch):
+    def refuse():
+        raise AssertionError("built the argparse parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    for argv in VALID_ARGVS:
+        assert cli._parse_args(argv).command == argv[0]
+
+
+def test_a_plain_line_never_imports_argparse(tmp_path):
+    path = write(tmp_path, "e.json", {"theta_order": 4})
+    program = (
+        "import sys\n"
+        "from tatekit import cli\n"
+        "loaded = lambda: sys.stderr.write(f\"{'argparse' in sys.modules}\\n\")\n"
+        "loaded()\n"
+        f"cli.main(['exponents', {path!r}])\n"
+        "loaded()\n"
+        "try:\n"
+        "    cli.main(['-h'])\n"
+        "except SystemExit:\n"
+        "    loaded()\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", program], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[0])["result"]["rho"] == "49"
+    assert "usage: tatekit" in proc.stdout
+    assert proc.stderr == "False\nFalse\nTrue\n"
 
 
 REJECTED_OR_HELP_ARGVS = (
@@ -442,8 +482,33 @@ REJECTED_OR_HELP_ARGVS = (
         ["--version"],
         ["snf", "in.json", "--version"],
         ["--trace", "snf", "in.json"],
+        ["snf", "in.json", "--out"],
+        ["snf", "in.json", "--out", "--trace"],
+        ["snf", "in.json", "--batch", "b.json"],
     ]
 )
+
+# spellings argparse accepts that the plain-line reader leaves to it
+ARGPARSE_ONLY_ARGVS = [
+    ["snf", "--out=o.json", "in.json"],
+    ["snf", "in.json", "--ou", "o.json"],
+    ["snf", "in.json", "--tr"],
+    ["snf", "--", "in.json"],
+    ["snf", "-5"],
+    ["snf", "in.json", "--out", "a", "--out", "b"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", REJECTED_OR_HELP_ARGVS + ARGPARSE_ONLY_ARGVS, ids=lambda a: " ".join(a) or "(none)"
+)
+def test_the_plain_line_reader_declines_every_other_line(argv):
+    assert cli._read_plain_line(argv) is None
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_ONLY_ARGVS, ids=" ".join)
+def test_lines_the_reader_declines_parse_as_argparse_parses_them(argv):
+    assert vars(cli._parse_args(argv)) == vars(cli._build_parser().parse_args(argv))
 
 
 def _exit_of(parse, argv, capsys):
