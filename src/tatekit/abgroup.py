@@ -275,6 +275,18 @@ class LatticeQuotient:
         coords = IntMatrix(k, self.basis.cols, self.snf.u.entries[:k]) @ self.rel_in_basis
         return LatticeQuotient(self.ambient_rank, self.basis @ sat, self.relations, rel_in_basis=coords)
 
+    def torsion_on_generators(self) -> "LatticeQuotient":
+        """The torsion subgroup on one generator g per invariant factor d, the
+        ``generator_vectors`` of the torsion coordinates, with relation d*g.
+        A vector outside the span of the g cannot be projected into it."""
+        units, k = self._units, self._rank_rel
+        eye = IntMatrix.identity(k - units)
+        lifts = IntMatrix(self.basis.cols, eye.rows, tuple(row[units:k] for row in self.snf.u_inv.entries))
+        scaled = (tuple(d * e for e in row) for d, row in zip(self.group.invariant_factors, eye.entries))
+        diag = IntMatrix(eye.rows, eye.rows, tuple(scaled))
+        basis = self.basis @ lifts
+        return LatticeQuotient(self.ambient_rank, basis, basis @ diag, rel_in_basis=diag)
+
 
 def cokernel(a: IntMatrix) -> LatticeQuotient:
     """Z^rows / column span of a, with projection and lift maps attached."""

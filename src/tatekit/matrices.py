@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 
 from .errors import MembershipError
@@ -42,9 +43,16 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count does not match entries")
+        if not all(map(self.cols.__eq__, map(len, self.entries))):
+            raise ValueError("column count does not match entries")
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass's hash, once: lru caches keyed by modules rehash on each lookup
+        return hash((self.rows, self.cols, self.entries))
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":

@@ -6,8 +6,9 @@ a base place form the coset space Theta / Theta_v; summing over places gives
 the permutation-tensor module M[S], its degree-zero part M[S]_0, and the two
 kernel descriptions implemented here: the inclusion form (degree-zero classes
 dying in the full module) and the localization form (classes dying in every
-local group M_{Theta_v}).  Both are exact kernels of induced maps between
-torsion coinvariant groups.
+local group M_{Theta_v}).  Both take one ``common_kernel`` out of one domain,
+(M[S]_0)_{Theta,Tors} on a generator g per invariant factor d with relation
+d*g, and differ only in their targets.
 """
 
 from __future__ import annotations
@@ -136,10 +137,18 @@ class ShaResult:
         return size
 
 
+@lru_cache(maxsize=128)
+def _sha_domain(module: GModule) -> LatticeQuotient:
+    """(M[S]_0)_{Theta,Tors} on one generator per invariant factor, without
+    the unit factors that ``torsion_coinvariants`` carries: both forms' domain."""
+    return coinvariants(module).torsion_on_generators()
+
+
 def _sha_result(pm: PlaceModule, domain: LatticeQuotient, components) -> ShaResult:
     """The kernel of the map out of ``domain`` into the direct sum of the
     targets of ``components``, (target, matrix) pairs: the classes that every
-    component map sends to zero."""
+    component map sends to zero.  ``domain`` is the ``_sha_domain`` of
+    pm.sub, so the kernel is presented inside the span of its generators."""
     ker = common_kernel(domain, [InducedMap(domain, target, matrix) for target, matrix in components])
     return ShaResult(
         group_invariants=ker.group.invariant_factors,
@@ -153,11 +162,12 @@ def _sha_result(pm: PlaceModule, domain: LatticeQuotient, components) -> ShaResu
 def sha1_S(data: GlobalData) -> ShaResult:
     """Kernel of (M[S]_0)_{Theta,Tors} -> M[S]_{Theta,Tors} via the inclusion.
 
-    The target is taken as the full coinvariant group; a torsion class dies
-    in the torsion part exactly when it dies there.  M[S] is the direct sum
-    of its fibers' modules, so a class dies in M[S]_Theta exactly when it dies
-    in each fiber's coinvariants, which it reaches through that fiber's block
-    of rows of the degree-zero basis.
+    The domain is presented on one generator per invariant factor
+    (``_sha_domain``).  The target is taken as the full coinvariant group; a
+    torsion class dies in the torsion part exactly when it dies there.  M[S]
+    is the direct sum of its fibers' modules, so a class dies in M[S]_Theta
+    exactly when it dies in each fiber's coinvariants, which it reaches
+    through that fiber's block of rows of the degree-zero basis.
     """
     pm = build_place_module(data)
     r = data.module.rank
@@ -169,7 +179,7 @@ def sha1_S(data: GlobalData) -> ShaResult:
         block = IntMatrix(stop - start, pm.basis.cols, rows[start:stop])
         components.append((coinvariants(permutation_module(f, data.module)), block))
         start = stop
-    return _sha_result(pm, torsion_coinvariants(pm.sub), components)
+    return _sha_result(pm, _sha_domain(pm.sub), components)
 
 
 def _shapiro_matrix(pm: PlaceModule, label: str) -> IntMatrix:
@@ -199,14 +209,14 @@ def sha1_shapiro(data: GlobalData) -> ShaResult:
 
     Each place contributes the map m*w -> [rep(w)^{-1} m] into the
     coinvariants of its decomposition subgroup; the classes that every place
-    sends to zero are returned.
+    sends to zero are returned, out of the domain of ``sha1_S``.
     """
     pm = build_place_module(data)
     components = [
         (coinvariants(restrict_module(data.module, p.decomposition)), _shapiro_matrix(pm, p.label))
         for p in data.places
     ]
-    return _sha_result(pm, torsion_coinvariants(pm.sub), components)
+    return _sha_result(pm, _sha_domain(pm.sub), components)
 
 
 # -- obstruction to the existence of a global class ----------------------

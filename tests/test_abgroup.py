@@ -107,6 +107,21 @@ def test_torsion_subquotient():
         assert t.project(v) == x
 
 
+def test_torsion_on_generators_presents_the_torsion_on_its_generator_vectors(corpus):
+    for name, mname, module in _corpus_modules(corpus):
+        co = coinvariants(module)
+        red = co.torsion_on_generators()
+        nt = len(co.group.invariant_factors)
+        assert red.group == co.torsion().group == co.group.torsion_part(), (name, mname)
+        assert red.basis.columns() == co.generator_vectors()[:nt], (name, mname)
+        assert red.relations == red.basis @ red.rel_in_basis
+        for i, (g, d) in enumerate(zip(red.basis.columns(), red.group.invariant_factors)):
+            unit = tuple(int(j == i) for j in range(nt))
+            assert red.rel_in_basis.column(i) == tuple(d * x for x in unit)
+            assert red.project(g).coords == unit
+            assert co.project(g).coords == unit + (0,) * co.group.free_rank
+
+
 def test_induced_map_identity_and_kernel():
     rel = IntMatrix.from_rows([[4]])
     q = cokernel(rel)  # Z/4

@@ -29,6 +29,23 @@ def matrices(max_dim=5):
     )
 
 
+def test_matrix_shape_checks():
+    with pytest.raises(ValueError, match="row count"):
+        IntMatrix(3, 2, ((1, 2), (3, 4)))
+    with pytest.raises(ValueError, match="column count"):
+        IntMatrix(2, 2, ((1, 2), (3,)))  # ragged
+    with pytest.raises(ValueError, match="column count"):
+        IntMatrix(2, 1, ((1,), (2, 3)))
+
+
+def test_equal_matrices_built_apart_hash_equal_and_the_hash_is_stable():
+    rows = [[1, -2, 0], [3, 4, 5]]
+    a, b = IntMatrix.from_rows(rows), IntMatrix.from_rows(rows) @ IntMatrix.identity(3)
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash((2, 3, ((1, -2, 0), (3, 4, 5))))
+    assert hash(a) == hash(a) and len({a, b}) == 1
+
+
 def test_snf_golden_against_gcd_det_oracle():
     # d1 = gcd of entries, d1*d2 = |det| for a 2x2 with nonzero determinant
     a = IntMatrix.from_rows([[2, 4], [6, 8]])

@@ -91,7 +91,7 @@ def test_sha1_kernels_equal_the_kernels_into_the_whole_direct_sums(corpus):
     # the direct sum of the local coinvariants
     for data in _small_scenarios(corpus):
         pm = build_place_module(data)
-        domain = torsion_coinvariants(pm.sub)
+        domain = coinvariants(pm.sub).torsion_on_generators()
         whole = coinvariants(permutation_module(pm.action, data.module))
         local = [coinvariants(restrict_module(data.module, p.decomposition)) for p in data.places]
         shapiro = cokernel(block_diagonal([q.relations for q in local]))
@@ -101,6 +101,39 @@ def test_sha1_kernels_equal_the_kernels_into_the_whole_direct_sums(corpus):
             (sha1_shapiro(data).kernel, InducedMap(domain, shapiro, stacked).kernel()),
         ):
             assert (got.basis, got.relations) == (ker.basis, ker.relations), data
+
+
+def test_sha1_kernels_over_the_saturation_domain_are_the_same(corpus, monkeypatch):
+    # the saturation basis of torsion() stays a reference route: the kernel
+    # of each form has the same group and generators over either domain
+    scenarios = list(_small_scenarios(corpus))
+    for form in (sha1_S, sha1_shapiro):
+        reduced = [form(data) for data in scenarios]
+        with monkeypatch.context() as m:
+            m.setattr(sha, "_sha_domain", torsion_coinvariants)
+            full = [form(data) for data in scenarios]
+        for data, a, b in zip(scenarios, reduced, full):
+            assert b.domain is torsion_coinvariants(build_place_module(data).sub)
+            assert (a.group_invariants, a.generators) == (b.group_invariants, b.generators), data
+
+
+def test_sha1_domain_is_the_torsion_coinvariant_group(corpus):
+    for data in itertools.chain([klein_data(), quarter_turn_data()], _small_scenarios(corpus)):
+        pm = build_place_module(data)
+        group = torsion_coinvariants(pm.sub).group
+        assert sha1_S(data).domain.group == sha1_shapiro(data).domain.group == group, data
+
+
+def test_sha1_domain_has_one_generator_per_invariant_factor(corpus):
+    data = klein_data()
+    pm = build_place_module(data)
+    domain = sha1_S(data).domain
+    assert pm.sub.rank == 15 and torsion_coinvariants(pm.sub).basis.cols == 12
+    assert domain.group.invariant_factors == (4,) and domain.basis.cols == 1
+    assert sha1_shapiro(data).domain is domain
+    for data in _small_scenarios(corpus):
+        domain = sha1_S(data).domain
+        assert domain.basis.cols == len(domain.group.invariant_factors), data
 
 
 def _sha1_payload(data: GlobalData) -> dict:
