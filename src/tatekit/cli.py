@@ -383,7 +383,14 @@ def _build_parser():
     """
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        """Usage errors exit 1, a domain error: exit 2 means a theorem violation."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(
         prog="tatekit",
         description="exact computations on group lattices, local square classes, "
         "and place-indexed kernels",

@@ -1,10 +1,13 @@
 """Finite groups acting on integer lattices, and their norm-kernel groups.
 
-A module is a finite group together with the integer matrices by which the
-elements of its ``generating_set()`` act; the matrix of any other element is
-their product along the Cayley graph.  Modules built from outside data go
-through :func:`module_from_generators`, which checks the group law on every
-Cayley-graph edge.
+Every element of a group is reached by one breadth-first walk of the Cayley
+graph of a generating set, :func:`_cayley_walk`.  Its tree edges build
+(closures, element lists, the matrix of every element) and its other edges,
+which close the cycles, check.  A module is a finite group together with
+the integer matrices by which the elements of its ``generating_set()`` act;
+the matrix of any other element is their product along the tree edges.
+Modules built from outside data go through :func:`module_from_generators`,
+which checks the group law on every non-tree edge.
 Coinvariants and their torsion part M_{G,Tors}, invariants, the norm map,
 its kernel on coinvariant classes, and transfer maps to subgroups are all
 computed exactly through the lattice presentations in :mod:`tatekit.abgroup`.
@@ -80,14 +83,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def power(self, g: int, k: int) -> int:
-        m = self.element_order(g)
-        k %= m
-        x = self.identity
-        for _ in range(k):
-            x = self.mul(x, g)
-        return x
-
     def exponent(self) -> int:
         from math import lcm
 
@@ -123,19 +118,28 @@ class FiniteGroup:
         return frozenset(self.mul(self.mul(g, h), gi) for h in members)
 
 
+def _cayley_walk(start, gens, mul) -> tuple[list, dict, list]:
+    """Breadth-first walk of the Cayley graph of ``gens`` from ``start``.
+
+    Returns the vertices in the order reached; the tree edge {b: (a, i)},
+    b = mul(a, gens[i]), that first reached each vertex but ``start``; and
+    every other edge as (a, i, b).  Values carried along the tree edges
+    build a table, and the other edges, which close the cycles, check it.
+    """
+    order, tree, others = [start], {}, []
+    for a in order:  # the list grows as it is read: a FIFO queue
+        for i, g in enumerate(gens):
+            b = mul(a, g)
+            if b in tree or b == start:
+                others.append((a, i, b))
+            else:
+                tree[b] = (a, i)
+                order.append(b)
+    return order, tree, others
+
+
 def _close(group: FiniteGroup, gens) -> set[int]:
-    seen = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = group.mul(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return seen
+    return set(_cayley_walk(group.identity, gens, group.mul)[0])
 
 
 def finite_group(table) -> FiniteGroup:
@@ -251,19 +255,8 @@ def from_permutations(perms) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     def compose(p, q):
         return tuple(p[q[i]] for i in range(deg))
 
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in perms:
-                q = compose(p, g)
-                if q not in index:
-                    index[q] = len(elements)
-                    elements.append(q)
-                    nxt.append(q)
-        frontier = nxt
+    elements = _cayley_walk(ident, perms, compose)[0]
+    index = {p: i for i, p in enumerate(elements)}
     table = [[index[compose(p, q)] for q in elements] for p in elements]
     return finite_group(table), elements
 
@@ -402,17 +395,6 @@ class PermAction:
     def act(self, g: int, x: int) -> int:
         return self.images[g][x]
 
-    def orbits(self) -> list[tuple[int, ...]]:
-        seen = set()
-        out = []
-        for x in range(self.degree):
-            if x in seen:
-                continue
-            orb = sorted({self.images[g][x] for g in self.group.elements()})
-            seen.update(orb)
-            out.append(tuple(orb))
-        return out
-
     def fixed_point(self, g: int):
         for x in range(self.degree):
             if self.images[g][x] == x:
@@ -469,47 +451,41 @@ class GModule:
 
     @cached_property
     def _table(self) -> tuple[IntMatrix, ...]:
-        gens = dict(zip(self.group.generating_set(), self.gens))
-        action = {self.group.identity: IntMatrix.identity(self.rank), **gens}
-        _multiply_out(self.group, action, gens)
+        action, _ = _multiply_out(self.group, self.group.generating_set(), self.gens, self.rank)
         return tuple(action[g] for g in self.group.elements())
 
 
-def _multiply_out(group: FiniteGroup, action: dict, gen_matrices: dict) -> None:
-    """Extend ``action`` along the Cayley graph of ``gen_matrices``: the first
-    edge a -> a*g to reach a new element assigns it action[a] @ gen_matrices[g]."""
-    frontier = list(action)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g, m in gen_matrices.items():
-                b = group.mul(a, g)
-                if b not in action:
-                    action[b] = action[a] @ m
-                    nxt.append(b)
-        frontier = nxt
+def _multiply_out(group: FiniteGroup, gens, mats, rank: int) -> tuple[dict, list]:
+    """The matrix of every element the Cayley walk of ``gens`` reaches, with
+    A(b) = A(a) @ mats[i] along each tree edge; and the walk's other edges,
+    on which that product is left unchecked."""
+    _, tree, others = _cayley_walk(group.identity, gens, group.mul)
+    action = {group.identity: IntMatrix.identity(rank)}
+    for b, (a, i) in tree.items():
+        action[b] = mats[i] if a == group.identity else action[a] @ mats[i]  # I @ m is m
+    return action, others
 
 
 def module_from_generators(group: FiniteGroup, rank: int, gen_matrices: dict) -> GModule:
     """The module on which the given elements act by the given matrices.
 
     ``gen_matrices`` maps element indices to matrices, and the elements must
-    generate the group.  Every Cayley-graph edge a -> a*g is checked to carry
-    A(a) to A(a) @ A(g).  That is the homomorphism law, and in a finite group
-    it also makes every matrix invertible: A(g)^|g| = A(1) = I.
+    generate the group.  The tree edges of the Cayley walk define A(b) =
+    A(a) @ A(g) along a -> b = a*g; every other edge is checked to satisfy
+    it too.  That is the homomorphism law, and in a finite group it also
+    makes every matrix invertible: A(g)^|g| = A(1) = I.
     """
-    action: dict[int, IntMatrix] = {group.identity: IntMatrix.identity(rank)}
+    eye = IntMatrix.identity(rank)
     for g, m in gen_matrices.items():
         if m.rows != rank or m.cols != rank:
             raise ValueError("generator matrix has the wrong shape")
-        if g in action and action[g] != m:
+        if g == group.identity and m != eye:
             raise ValueError("inconsistent generator assignment")
-        action[g] = m
-    _multiply_out(group, action, gen_matrices)
-    for a in action:
-        for g, m in gen_matrices.items():
-            if action[group.mul(a, g)] != action[a] @ m:
-                raise ValueError("generator matrices are inconsistent with the group law")
+    mats = tuple(gen_matrices.values())
+    action, others = _multiply_out(group, tuple(gen_matrices), mats, rank)
+    for a, i, b in others:
+        if action[b] != action[a] @ mats[i]:
+            raise ValueError("generator matrices are inconsistent with the group law")
     if len(action) != group.order:
         raise ValueError("generators do not generate the group")
     return GModule(group, rank, tuple(action[s] for s in group.generating_set()))

@@ -29,6 +29,7 @@ from .errors import (
 from .gmodule import (
     FiniteGroup,
     Subgroup,
+    _cayley_walk,
     _close,
     coinvariants,
     cyclic,
@@ -80,20 +81,18 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
             f"subgroup enumeration supports order <= {MAX_ENUM_ORDER}, got {group.order}"
         )
     base = frozenset({group.identity})
-    found = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for x in group.elements():
-                if x in h:
-                    continue
-                bigger = frozenset(_close(group, h | {x}))
-                if bigger not in found:
-                    found.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    ordered = sorted(found, key=lambda m: (len(m), tuple(sorted(m))))
+    gens_of = {base: ()}  # each subgroup, by the generators that first reached it
+    queue = [base]
+    for h in queue:
+        for x in group.elements():
+            if x in h:
+                continue
+            gens = gens_of[h] + (x,)
+            bigger = frozenset(_close(group, gens))
+            if bigger not in gens_of:
+                gens_of[bigger] = gens
+                queue.append(bigger)
+    ordered = sorted(gens_of, key=lambda m: (len(m), tuple(sorted(m))))
     return [subgroup(group, sorted(m)) for m in ordered]
 
 
@@ -300,21 +299,13 @@ def product_subgroup(theta: FiniteGroup, gens) -> ProductSubgroup:
         if not 0 <= t < theta.order:
             raise DomainError("generator outside the group")
         pairs.append((t, int(c)))
+    _, tree, others = _cayley_walk(theta.identity, [t for t, _ in pairs], theta.mul)
     val = {theta.identity: 0}
-    frontier = [theta.identity]
+    for b, (a, i) in tree.items():
+        val[b] = val[a] + pairs[i][1]
     d = 0
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for t, c in pairs:
-                b = theta.mul(a, t)
-                w = val[a] + c
-                if b not in val:
-                    val[b] = w
-                    nxt.append(b)
-                else:
-                    d = gcd(d, w - val[b])
-        frontier = nxt
+    for a, i, b in others:
+        d = gcd(d, val[a] + pairs[i][1] - val[b])
     members = tuple(sorted(val))
     values = tuple(val[t] % d if d else val[t] for t in members)
     return ProductSubgroup(theta, members, d, values)

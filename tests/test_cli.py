@@ -295,6 +295,16 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("tatekit ")
 
 
+@pytest.mark.parametrize("argv", [["bogus", "x"], ["sha1"]], ids=" ".join)
+def test_usage_errors_exit_one(argv, capsys):
+    # exit 2 is kept for theorem violations
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tatekit") and "error: " in err
+
+
 # -- run and batch ---------------------------------------------------------------
 
 

@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 from tatekit.abgroup import cokernel
 from tatekit.errors import SubgroupMismatchError
 from tatekit.gmodule import (
+    _cayley_walk,
+    _multiply_out,
     augmentation_kernel_module,
     coinvariants,
     coset_action,
@@ -74,7 +76,6 @@ def test_cyclic_structure():
     assert g.is_abelian()
     assert g.exponent() == 6
     assert sorted(g.element_order(x) for x in g.elements()) == [1, 2, 3, 3, 6, 6]
-    assert g.power(1, 35) == g.power(1, -1) == g.inv(1)
 
 
 def test_dihedral_and_quaternion_structure():
@@ -95,6 +96,21 @@ def test_from_permutations_closes_generators():
     assert not g.is_abelian()
     assert len(perms) == 6
     assert perms[g.identity] == (0, 1, 2)
+    # breadth-first order: element indices, and so reports, are pinned
+    assert perms == [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    assert g.table[1] == (1, 0, 3, 2, 5, 4)
+
+
+def test_cayley_walk_meets_each_vertex_and_generator_once(corpus):
+    for name, g in corpus.items():
+        gens = g.generating_set()
+        order, tree, others = _cayley_walk(g.identity, gens, g.mul)
+        assert order[0] == g.identity and sorted(order) == list(g.elements()), name
+        assert list(tree) == order[1:], name
+        edges = [(a, i, b) for b, (a, i) in tree.items()] + others
+        assert all(g.mul(a, gens[i]) == b for a, i, b in edges), name
+        pairs = [(a, i) for a, i, _ in edges]
+        assert sorted(pairs) == [(a, i) for a in g.elements() for i in range(len(gens))], name
 
 
 def test_corpus_groups_satisfy_lagrange(corpus):
@@ -197,7 +213,7 @@ def test_coset_action_is_transitive(corpus):
         h = generated_subgroup(g, [x])
         act = coset_action(g, h)
         assert act.degree == h.index
-        assert act.orbits() == [tuple(range(act.degree))]
+        assert {act.act(y, 0) for y in g.elements()} == set(range(act.degree))
 
 
 def test_degree_zero_action_intertwines_with_basis(corpus):
@@ -312,6 +328,15 @@ def test_module_from_generators_completion_and_errors():
         module_from_generators(cyclic(2), 1, {1: IntMatrix.from_rows([[2]])})
     with pytest.raises(ValueError):
         module_from_generators(z4, 1, {2: IntMatrix.identity(1)})
+    with pytest.raises(ValueError, match="inconsistent with the group law"):
+        module_from_generators(z4, 2, {1: rot, 3: rot})
+    # the tree edges define the matrices, so only the other edges can disagree
+    _, tree, _ = _cayley_walk(z4.identity, (1, 3), z4.mul)
+    action, others = _multiply_out(z4, (1, 3), (rot, rot), 2)
+    assert all(action[b] == action[a] @ rot for b, (a, _) in tree.items())
+    assert any(action[b] != action[a] @ rot for a, _, b in others)
+    with pytest.raises(ValueError, match="inconsistent generator assignment"):
+        module_from_generators(z4, 2, {0: rot, 1: rot})
 
 
 def test_restrict_module_rejects_foreign_subgroup():

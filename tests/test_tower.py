@@ -63,6 +63,28 @@ def test_subgroup_counts(corpus, name, expected):
     assert orders == sorted(orders)
 
 
+def _closure_by_products(g, elements) -> frozenset[int]:
+    """Products with ``elements`` until nothing new appears; in a finite
+    group that set is the subgroup they generate."""
+    members = {g.identity}
+    while True:
+        bigger = members | {g.mul(a, x) for a in members for x in elements}
+        if bigger == members:
+            return frozenset(members)
+        members = bigger
+
+
+def test_subgroups_are_the_closures_of_at_most_three_elements(corpus):
+    # every corpus subgroup has at most three generators; Z2^3 needs three
+    for name, g in corpus.items():
+        closures = {
+            _closure_by_products(g, xs)
+            for k in range(4)
+            for xs in itertools.combinations(g.elements(), k)
+        }
+        assert {frozenset(h.members) for h in enumerate_subgroups(g)} == closures, name
+
+
 def test_enumeration_cap():
     with pytest.raises(TooLargeError):
         enumerate_subgroups(cyclic(65))
