@@ -245,20 +245,28 @@ def quaternion() -> FiniteGroup:
 
 def from_permutations(perms) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     """Group generated by permutations (tuples of images); returns the group
-    and the list of its elements as permutations, in index order."""
+    and the list of its elements as permutations, in index order.
+
+    Composition of permutations is associative, so the table is built, not
+    validated: the identity is element 0, where the walk starts."""
     perms = [tuple(p) for p in perms]
     if not perms:
         raise ValueError("need at least one permutation")
     deg = len(perms[0])
     ident = tuple(range(deg))
+    if any(len(p) != deg for p in perms):
+        raise ValueError("permutations must all have the same degree")
+    if any(sorted(p) != list(ident) for p in perms):
+        raise ValueError(f"each permutation must map range({deg}) onto itself")
 
     def compose(p, q):
         return tuple(p[q[i]] for i in range(deg))
 
     elements = _cayley_walk(ident, perms, compose)[0]
     index = {p: i for i, p in enumerate(elements)}
-    table = [[index[compose(p, q)] for q in elements] for p in elements]
-    return finite_group(table), elements
+    table = tuple(tuple(index[compose(p, q)] for q in elements) for p in elements)
+    inverses = tuple(index[tuple(sorted(ident, key=p.__getitem__))] for p in elements)
+    return FiniteGroup(len(elements), table, 0, inverses), elements
 
 
 @dataclass(frozen=True)

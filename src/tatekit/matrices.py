@@ -2,9 +2,11 @@
 
 Everything runs on Python ints, so intermediate coefficient growth is safe
 and no value is ever rounded.  The Smith normal form is fully deterministic:
-pivots are chosen by smallest absolute value, ties broken by lowest row then
-column index, and the diagonal is normalized to be nonnegative with each
-entry dividing the next.
+rows that are +-1 times a unit vector, as the unit pivots of a Hermite
+presentation are, are taken as pivots first, in row order and one per column;
+after them pivots are chosen by smallest absolute value, ties broken by
+lowest row then column index, and the diagonal is normalized to be
+nonnegative with each entry dividing the next.
 """
 
 from __future__ import annotations
@@ -78,9 +80,6 @@ class IntMatrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else tuple(() for _ in range(self.cols)))
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
@@ -129,36 +128,9 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def _same_shape(self, other: "IntMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shapes do not match")
-
-    def det(self) -> int:
-        """Exact determinant via fraction-free Bareiss elimination."""
-        if not self.is_square():
-            raise ValueError("determinant requires a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
 
 def hstack(mats, rows: int | None = None) -> IntMatrix:
@@ -251,6 +223,13 @@ def smith_normal_form(a: IntMatrix, *, cols: bool = True, inverses: bool = True)
     nonnegative entries d1 | d2 | ... and trailing zeros.  Total on every
     input shape including empty matrices.
 
+    Every row of a that is +-1 times a unit vector e_j, the first such row
+    for each column j, is a pivot as it stands: its column is cleared in one
+    entry per row, and these pivots come first on the diagonal, in row
+    order.  The rest of the matrix is then eliminated in place: the pivot is
+    an entry of smallest absolute value in the trailing block, first in
+    row-major order, and entries it does not divide are pulled into its row.
+
     Only the transforms a caller reads need be tracked; the elimination, its
     pivots and every tracked transform are the same whatever is left out,
     and an untracked one is returned as a 0 x 0 matrix:
@@ -326,7 +305,43 @@ def smith_normal_form(a: IntMatrix, *, cols: bool = True, inverses: bool = True)
                         return best
         return best
 
-    t = 0
+    # a row that is +-1 times a unit vector e_j, the first such row for its
+    # column j, is a pivot already: clearing column j in another row changes
+    # one entry of s, and as no peeled row is ever a target nor another row a
+    # source, the peeled row's u row and u_inv column are still identity
+    # ones, so u and u_inv change by one entry too
+    peeled: dict[int, int] = {}  # column -> row
+    for i, row in enumerate(s):
+        if row.count(0) == n - 1:
+            j = next(filter(row.__getitem__, range(n)))
+            if row[j] in (1, -1):
+                peeled.setdefault(j, i)
+    if peeled:
+        for j, i in peeled.items():
+            e = s[i][j]
+            for k, row in enumerate(s):
+                c = row[j]
+                if c and k != i:
+                    row[j] = 0
+                    u[k][i] -= c * e
+                    if track_uinv:
+                        uinv_t[i][k] += c * e
+        # the peeled rows and columns go to the front in row order, the rest
+        # keep their order
+        row_order = list(peeled.values())
+        row_order += sorted(set(range(m)).difference(row_order))
+        col_order = list(peeled)
+        col_order += sorted(set(range(n)).difference(col_order))
+        s[:] = [list(map(s[i].__getitem__, col_order)) for i in row_order]
+        u[:] = [u[i] for i in row_order]
+        if track_uinv:
+            uinv_t[:] = [uinv_t[i] for i in row_order]
+        if track_v:
+            v_t[:] = [v_t[j] for j in col_order]
+        if track_vinv:
+            vinv[:] = [vinv[j] for j in col_order]
+
+    t = len(peeled)
     bound = min(m, n)
     while t < bound:
         piv = find_pivot(t)

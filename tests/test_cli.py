@@ -276,6 +276,24 @@ def test_parse_error_and_missing_file(tmp_path, capsys):
     assert code == 1 and body["error"]["code"] == "DOMAIN_ERROR"
 
 
+@pytest.mark.parametrize("perms", [[[0, 5, 1]], [[1, 0], [0, 2, 1]]])
+def test_a_permutation_payload_that_is_no_permutation_is_a_schema_error(tmp_path, capsys, perms):
+    path = write(tmp_path, "g.json", {"group": {"permutations": perms}})
+    code, body, _ = run_cli(capsys, ["subgroup-bound", path])
+    assert code == 1
+    assert body["error"]["code"] == "SCHEMA_ERROR"
+    assert body["error"]["message"].startswith("input.group.permutations: ")
+    # in a batch, the jobs beside it keep their reports
+    path = write(tmp_path, "batch.json", {"jobs": [
+        {"op": "subgroup-bound", "input": {"group": {"permutations": perms}}},
+        {"op": "subgroup-bound", "input": {"group": {"permutations": [[1, 2, 0]]}}},
+    ]})
+    code, body, _ = run_cli(capsys, ["run", "--batch", path])
+    bad, good = body["reports"]
+    assert code == 1 and bad["error"]["code"] == "SCHEMA_ERROR"
+    assert good["result"]["subgroup_count"] == "2"
+
+
 def test_bool_is_not_an_integer(tmp_path, capsys):
     path = write(tmp_path, "b.json", {"theta_order": True})
     code, body, _ = run_cli(capsys, ["exponents", path])

@@ -1,7 +1,9 @@
 """Finite groups, subgroups, integral representations, and transfer."""
 
 import importlib
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -99,6 +101,33 @@ def test_from_permutations_closes_generators():
     # breadth-first order: element indices, and so reports, are pinned
     assert perms == [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     assert g.table[1] == (1, 0, 3, 2, 5, 4)
+
+
+def test_permutation_groups_equal_their_validated_tables():
+    # the table is built, not validated; finite_group's checks are the oracle
+    s4 = [(1, 2, 3, 0), (1, 0, 2, 3)]
+    s5 = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]
+    for gens, order in ((s4, 24), (s5, 120)):
+        g, perms = from_permutations(gens)
+        assert g.order == len(perms) == order
+        assert g == finite_group(g.table)
+        for a, b in itertools.product(g.elements(), repeat=2):
+            assert perms[g.mul(a, b)] == tuple(perms[a][x] for x in perms[b])
+
+
+@pytest.mark.parametrize(
+    "perms, says",
+    [
+        ([(0, 5, 1)], "map range(3) onto itself"),
+        ([(0, 0, 1)], "map range(3) onto itself"),
+        ([(0, -1, 1)], "map range(3) onto itself"),
+        ([(1, 0), (0, 2, 1)], "same degree"),
+        ([], "at least one"),
+    ],
+)
+def test_from_permutations_rejects_what_is_not_a_permutation(perms, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        from_permutations(perms)
 
 
 def test_cayley_walk_meets_each_vertex_and_generator_once(corpus):

@@ -156,8 +156,10 @@ def _sha1_payload(data: GlobalData) -> dict:
 
 
 # sha256 of the 252 canonical sha1 results below, one line each, as emitted
-# at commit 8615afc; a change to any generator, sign or order shows here
-SHA1_RESULTS_DIGEST = "37cfa23239745dc662e6911e3ac29aacfcc877ea3d36bc448b9b76efe0fde072"
+# since Smith forms take unit-vector rows as ready pivots (59 results moved
+# then, in their generators only); a change to any generator, sign or order
+# shows here
+SHA1_RESULTS_DIGEST = "4039455247264b79e2d54489f3232e276cc43c1f44a1ef5d1c5f86b576c92785"
 
 
 def test_sha1_report_bytes_are_pinned(corpus):
@@ -168,6 +170,30 @@ def test_sha1_report_bytes_are_pinned(corpus):
         digest.update(serial.canonical_dumps(result).encode() + b"\n")
         count += 1
     assert (count, digest.hexdigest()) == (252, SHA1_RESULTS_DIGEST)
+
+
+# sha256 of the same 252 results with every ``generators`` list removed, as
+# emitted at commit ed86f1e: Smith transforms are not unique, so a new pivot
+# order may move lift representatives, but never an invariant, order or verdict
+SHA1_INVARIANTS_DIGEST = "10f7ce8d3b815bacac4be634adc444a83d3fb481f099576fdac93d7e871337f5"
+
+
+def _without_generators(x):
+    if isinstance(x, dict):
+        return {k: _without_generators(v) for k, v in x.items() if k != "generators"}
+    if isinstance(x, list):
+        return [_without_generators(v) for v in x]
+    return x
+
+
+def test_sha1_report_invariants_are_pinned(corpus):
+    digest = hashlib.sha256()
+    count = 0
+    for data in _small_scenarios(corpus):
+        result = cli.run_job(cli.Job("sha1", _sha1_payload(data)))["result"]
+        digest.update(serial.canonical_dumps(_without_generators(result)).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == (252, SHA1_INVARIANTS_DIGEST)
 
 
 def test_sha1_never_builds_the_whole_permutation_module(corpus, monkeypatch):

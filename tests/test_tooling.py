@@ -63,7 +63,9 @@ def test_every_smith_form_field_is_a_matrix_the_tracer_can_read():
     # a traced run reads u, v, u_inv and v_inv of every Smith form for
     # transform_bits_max, whichever of them the caller had tracked
     bits = _tracer()._bits
-    shapes = [IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12]]), IntMatrix.zeros(0, 0), IntMatrix.zeros(2, 3)]
+    # the last shape's +-1 unit-vector rows take the peeled-pivot path
+    peeled = IntMatrix.from_rows([[0, 1, 0], [3, 5, 7], [-1, 0, 0], [0, 1, 0]])
+    shapes = [IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12]]), IntMatrix.zeros(0, 0), IntMatrix.zeros(2, 3), peeled]
     for a, cols, inverses in itertools.product(shapes, *[(True, False)] * 2):
         sf = smith_normal_form(a, cols=cols, inverses=inverses)
         assert isinstance(sf, SmithForm)
