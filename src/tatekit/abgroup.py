@@ -111,9 +111,6 @@ class FinAbGroup:
         for tor in itertools.product(*(range(d) for d in self.invariant_factors)):
             yield AbElement(self, tor)
 
-    def torsion_part(self) -> "FinAbGroup":
-        return FinAbGroup(self.invariant_factors, 0)
-
 
 @dataclass(frozen=True)
 class AbElement:
@@ -248,9 +245,6 @@ class LatticeQuotient:
             raise ValueError("element does not belong to this quotient")
         z = self.snf.u_inv.mul_vec((0,) * self._units + x.coords)
         return self.basis.mul_vec(z)
-
-    def contains_vector(self, vec) -> bool:
-        return self._basis_coords(vec) is not None
 
     def generator_vectors(self) -> list[tuple[int, ...]]:
         """One lattice representative per normal-form coordinate."""

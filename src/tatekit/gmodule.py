@@ -88,13 +88,6 @@ class FiniteGroup:
 
         return lcm(*(self.element_order(g) for g in self.elements())) if self.order > 1 else 1
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
     def generating_set(self) -> tuple[int, ...]:
         """Deterministic small generating set (greedy by element index)."""
         return self._generating_set

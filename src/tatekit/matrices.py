@@ -488,33 +488,36 @@ def hnf_basis(a: IntMatrix) -> IntMatrix:
     column's pivot is its lowest nonzero entry and is positive, pivot rows
     rise from left to right, and in each pivot row the entries right of the
     pivot lie in [0, pivot).  Zero columns are dropped, so the result
-    depends only on the lattice.  Total on every input shape.  The columns
-    already placed are reduced in each pivot row as soon as its pivot is
-    found (Cohen, Alg. 2.4.5).
+    depends only on the lattice.  Total on every input shape.  Each column
+    still to place is filed under the row of its lowest nonzero entry and
+    cut off below it, so row i's Euclid reads only the columns filed there;
+    a column it reduces to zero in row i is filed again under its new lowest
+    row.  The columns already placed are reduced in each pivot row as soon
+    as its pivot is found (Cohen, Alg. 2.4.5).
     """
     m = a.rows
-    # the columns still to place are zero below row i, and hold rows 0..i only
-    cols = [list(c) for c in zip(*a.entries) if any(c)] if m else []
+    levels: list[list[list[int]]] = [[] for _ in range(m)]
+    for c in zip(*a.entries):
+        _file(levels, list(c), m - 1)
     found: list[list[int]] = []  # the placed pivot columns, lowest pivot row last
     for i in range(m - 1, -1, -1):
         # Euclid on row i: reduce by the smallest entry until one column is left
-        live = [c for c in cols if c[i]]
-        touched = []
+        live = levels[i]
+        if not live:
+            continue
         while len(live) > 1:
             piv = min(live, key=lambda c: abs(c[i]))
             p = piv[i]
+            rest = [piv]
             for c in live:
                 if c is not piv:
-                    c[:] = _axpy(c, -(c[i] // p), piv)
-                    touched.append(c)
-            live = [c for c in live if c[i]]
-        piv = live[0] if live else None
-        gone = {id(c) for c in touched if not any(c)}
-        cols = [c for c in cols if c is not piv and id(c) not in gone]
-        for c in cols:
-            c.pop()  # row i is zero in every column left
-        if piv is None:
-            continue
+                    c = _axpy(c, -(c[i] // p), piv)
+                    if c[i]:
+                        rest.append(c)
+                    else:
+                        _file(levels, c, i - 1)
+            live = rest
+        piv = live[0]
         if piv[i] < 0:
             piv = [-x for x in piv]
         p = piv[i]
@@ -524,3 +527,13 @@ def hnf_basis(a: IntMatrix) -> IntMatrix:
                 c[: i + 1] = _axpy(c[: i + 1], -q, piv)
         found.insert(0, piv + [0] * (m - 1 - i))
     return IntMatrix(m, len(found), tuple(zip(*found)) if found else ((),) * m)
+
+
+def _file(levels: list[list[list[int]]], c: list[int], i: int) -> None:
+    """File c, zero below row i, under its lowest nonzero row, cut off below
+    it; a zero column is dropped."""
+    while i >= 0 and not c[i]:
+        i -= 1
+    if i >= 0:
+        del c[i + 1 :]
+        levels[i].append(c)

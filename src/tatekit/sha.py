@@ -8,7 +8,8 @@ kernel descriptions implemented here: the inclusion form (degree-zero classes
 dying in the full module) and the localization form (classes dying in every
 local group M_{Theta_v}).  Both take one ``common_kernel`` out of one domain,
 (M[S]_0)_{Theta,Tors} on a generator g per invariant factor d with relation
-d*g, and differ only in their targets.
+d*g, and differ only in their targets.  When that domain is 0 it is its own
+kernel, and neither form builds a target.
 """
 
 from __future__ import annotations
@@ -144,12 +145,17 @@ def _sha_domain(module: GModule) -> LatticeQuotient:
     return coinvariants(module).torsion_on_generators()
 
 
-def _sha_result(pm: PlaceModule, domain: LatticeQuotient, components) -> ShaResult:
-    """The kernel of the map out of ``domain`` into the direct sum of the
-    targets of ``components``, (target, matrix) pairs: the classes that every
-    component map sends to zero.  ``domain`` is the ``_sha_domain`` of
-    pm.sub, so the kernel is presented inside the span of its generators."""
-    ker = common_kernel(domain, [InducedMap(domain, target, matrix) for target, matrix in components])
+def _sha_result(pm: PlaceModule, components) -> ShaResult:
+    """The kernel of the map out of the ``_sha_domain`` of pm.sub into the
+    direct sum of the targets of ``components()``, (target, matrix) pairs:
+    the classes that every component map sends to zero, presented inside the
+    span of the domain's generators.  A trivial domain is its own kernel and
+    builds no target: ``components`` is not called, since a map out of 0 has
+    no basis image or relation image to verify."""
+    domain = _sha_domain(pm.sub)
+    ker = domain
+    if not domain.group.is_trivial:
+        ker = common_kernel(domain, [InducedMap(domain, target, matrix) for target, matrix in components()])
     return ShaResult(
         group_invariants=ker.group.invariant_factors,
         kernel=ker,
@@ -170,16 +176,18 @@ def sha1_S(data: GlobalData) -> ShaResult:
     through that fiber's block of rows of the degree-zero basis.
     """
     pm = build_place_module(data)
-    r = data.module.rank
-    rows = pm.basis.entries
-    components = []
-    start = 0
-    for f in pm.fibers:
-        stop = start + f.degree * r
-        block = IntMatrix(stop - start, pm.basis.cols, rows[start:stop])
-        components.append((coinvariants(permutation_module(f, data.module)), block))
-        start = stop
-    return _sha_result(pm, _sha_domain(pm.sub), components)
+
+    def components():
+        r = data.module.rank
+        rows = pm.basis.entries
+        start = 0
+        for f in pm.fibers:
+            stop = start + f.degree * r
+            block = IntMatrix(stop - start, pm.basis.cols, rows[start:stop])
+            yield coinvariants(permutation_module(f, data.module)), block
+            start = stop
+
+    return _sha_result(pm, components)
 
 
 def _shapiro_matrix(pm: PlaceModule, label: str) -> IntMatrix:
@@ -212,11 +220,12 @@ def sha1_shapiro(data: GlobalData) -> ShaResult:
     sends to zero are returned, out of the domain of ``sha1_S``.
     """
     pm = build_place_module(data)
-    components = [
-        (coinvariants(restrict_module(data.module, p.decomposition)), _shapiro_matrix(pm, p.label))
-        for p in data.places
-    ]
-    return _sha_result(pm, _sha_domain(pm.sub), components)
+
+    def components():
+        for p in data.places:
+            yield coinvariants(restrict_module(data.module, p.decomposition)), _shapiro_matrix(pm, p.label)
+
+    return _sha_result(pm, components)
 
 
 # -- obstruction to the existence of a global class ----------------------

@@ -37,12 +37,22 @@ from tatekit.sha import sha1_S, sha1_shapiro
 from test_sha import klein_data, quarter_turn_data
 
 
+def _torsion_part(g):
+    """The torsion subgroup of a group in invariant-factor form."""
+    return FinAbGroup(g.invariant_factors, 0)
+
+
+def _contains_vector(q, vec):
+    """Whether an ambient vector lies in q's presented sublattice."""
+    return q._basis_coords(vec) is not None
+
+
 def test_group_basics():
     g = FinAbGroup((2, 4), 1)
     assert g.ncoords == 3
     assert not g.is_finite
     assert g.exponent() == INFINITE
-    t = g.torsion_part()
+    t = _torsion_part(g)
     assert t.invariant_factors == (2, 4) and t.is_finite
     assert t.size() == 8
     assert sorted(x.coords for x in t.elements()) == sorted(
@@ -90,8 +100,8 @@ def test_membership_error_outside_sublattice():
     q = LatticeQuotient(2, basis, IntMatrix.zeros(2, 0))
     with pytest.raises(MembershipError):
         q.project((1, 0))
-    assert q.contains_vector((4, 2))
-    assert not q.contains_vector((1, 1))
+    assert _contains_vector(q, (4, 2))
+    assert not _contains_vector(q, (1, 1))
 
 
 def test_torsion_subquotient():
@@ -112,7 +122,7 @@ def test_torsion_on_generators_presents_the_torsion_on_its_generator_vectors(cor
         co = coinvariants(module)
         red = co.torsion_on_generators()
         nt = len(co.group.invariant_factors)
-        assert red.group == co.torsion().group == co.group.torsion_part(), (name, mname)
+        assert red.group == co.torsion().group == _torsion_part(co.group), (name, mname)
         assert red.basis.columns() == co.generator_vectors()[:nt], (name, mname)
         assert red.relations == red.basis @ red.rel_in_basis
         for i, (g, d) in enumerate(zip(red.basis.columns(), red.group.invariant_factors)):
@@ -212,7 +222,7 @@ def test_identity_basis_quotient_agrees_with_general_path(data):
     assert InducedMap(general, fast, IntMatrix.identity(n)).kernel().group.is_trivial
     for v in data.draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=1, max_size=4)):
         assert general.project(v) == same(fast.project(v))
-        assert fast.contains_vector(v) and general.contains_vector(v)
+        assert _contains_vector(fast, v) and _contains_vector(general, v)
     k = fast.group.ncoords
     for i in range(k):
         x = fast.group.element(tuple(int(i == j) for j in range(k)))
@@ -222,7 +232,7 @@ def test_identity_basis_quotient_agrees_with_general_path(data):
         with pytest.raises(ValueError):
             q.project((0,) * (n + 1))
         with pytest.raises(ValueError):
-            q.contains_vector((0,) * (n + 1))
+            _contains_vector(q, (0,) * (n + 1))
 
 
 def test_common_kernel_of_the_empty_family_and_of_maps_into_rank_zero_targets():
@@ -338,14 +348,14 @@ def test_derived_quotients_accept_members_and_reject_the_rest(derived):
         n = q.ambient_rank
         members = q.generator_vectors() + q.basis.columns() + q.relations.columns()[:4]
         for vec in members:
-            assert q.contains_vector(vec), label
+            assert _contains_vector(q, vec), label
             q.project(vec)
         for x in q.group.elements() if q.group.is_finite and q.group.size() <= 16 else ():
             assert q.project(q.lift(x)) == x, label
         units = [tuple(int(i == j) for j in range(n)) for i in range(min(n, 3))]
         for vec in units + [tuple(range(1, n + 1))]:
             inside = _in_lattice(q.basis, vec)
-            assert q.contains_vector(vec) == inside, (label, vec)
+            assert _contains_vector(q, vec) == inside, (label, vec)
             if not inside:
                 with pytest.raises(MembershipError):
                     q.project(vec)
@@ -378,7 +388,7 @@ def test_a_derived_quotient_takes_its_basis_smith_form_on_first_solve():
     q = cokernel(IntMatrix.from_rows([[3, 0], [0, 0], [0, 5]]))  # Z/15 + Z on a 3-dim ambient
     for sub in (q.torsion(), InducedMap(q, q, IntMatrix.identity(3).scaled(3)).kernel()):
         assert "_basis_sf" not in vars(sub)
-        assert sub.contains_vector(sub.basis.column(0))
+        assert _contains_vector(sub, sub.basis.column(0))
         assert "_basis_sf" in vars(sub)
 
 

@@ -467,15 +467,19 @@ def hnf_inputs():
     )
 
 
-def test_hnf_matches_sympy():
+def _sympy_hnf(rows):
+    """sympy's Hermite normal form of a nonempty list of rows, as an IntMatrix."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import hermite_normal_form
 
-    def theirs(rows, **kw):
-        # sympy keeps Cohen's convention and drops the zero columns too; only
-        # the empty result needs its row count back
-        h = hermite_normal_form(sympy.Matrix(rows), **kw)
-        return IntMatrix(len(rows), h.cols, tuple(tuple(int(x) for x in h.row(i)) for i in range(h.rows)))
+    # sympy keeps Cohen's convention and drops the zero columns too; only
+    # the empty result needs its row count back
+    h = hermite_normal_form(sympy.Matrix(rows))
+    return IntMatrix(len(rows), h.cols, tuple(tuple(int(x) for x in h.row(i)) for i in range(h.rows)))
+
+
+def test_hnf_matches_sympy():
+    pytest.importorskip("sympy")
 
     @settings(max_examples=60)
     @given(st.data())
@@ -485,8 +489,25 @@ def test_hnf_matches_sympy():
         if m > 1 and data.draw(st.booleans()):
             rows[0] = [x - 2 * y for x, y in zip(rows[1], rows[-1])]  # rank-deficient forms too
         a = IntMatrix.from_rows(rows)
-        h = theirs(rows)
+        h = _sympy_hnf(rows)
         assert hnf_basis(a) == h
+
+    check()
+
+
+def test_hnf_matches_sympy_on_coinvariant_shaped_inputs():
+    # relation matrices of coinvariants, (g - 1) applied to basis vectors, are
+    # sparse with entries in {-1, 0, 1} and two to three times as wide as tall
+    pytest.importorskip("sympy")
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def check(data):
+        r = data.draw(st.integers(1, 20))
+        n = data.draw(st.integers(2 * r, 3 * r))
+        sparse = st.sampled_from((-1, 0, 0, 0, 0, 0, 1))
+        rows = data.draw(st.lists(st.lists(sparse, min_size=n, max_size=n), min_size=r, max_size=r))
+        assert hnf_basis(IntMatrix.from_rows(rows)) == _sympy_hnf(rows)
 
     check()
 
@@ -531,6 +552,16 @@ def test_hnf_golden_and_bounded_entries():
     assert h == IntMatrix.from_rows([[4, 2, 2], [0, 8, 2], [0, 0, 12]])
     assert _is_hnf(h) and _same_lattice(h, a)
     assert hnf_basis(IntMatrix.from_rows([[2, 4], [1, 2]])) == IntMatrix.from_rows([[2], [1]])
+    # row 1 reduces (0, 2) by (1, 2) to (-1, 0): that column leaves row 1 for
+    # row 0, where it becomes the pivot
+    assert hnf_basis(IntMatrix.from_rows([[1, 0], [2, 2]])) == IntMatrix.from_rows([[1, 0], [0, 2]])
+    # the same, but row 0 already holds (1, 0), which reduces the moved
+    # column to zero; (3, 6) = 3 * (1, 2) reduces to zero in row 1 at once
+    a = IntMatrix.from_rows([[1, 0, 1, 3], [2, 2, 0, 6]])
+    assert hnf_basis(a) == IntMatrix.from_rows([[1, 0], [0, 2]])
+    # a column that moves up past an empty row, to a pivot of -1
+    a = IntMatrix.from_rows([[2, 1], [0, 0], [3, 3]])
+    assert hnf_basis(a) == IntMatrix.from_rows([[1, 0], [0, 0], [0, 3]])
 
 
 def test_hnf_on_zero_size_shapes():

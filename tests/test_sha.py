@@ -220,6 +220,44 @@ def test_sha1_never_builds_the_whole_permutation_module(corpus, monkeypatch):
         assert not degrees
 
 
+def test_a_trivial_domain_builds_no_target(corpus, monkeypatch):
+    calls = []
+
+    def spy(name):
+        real = getattr(sha, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    g = corpus["Z3"]
+    ladder_rung = GlobalData(  # the sha-ladder's Z3 rung, rank(M[S]_0) 10
+        g,
+        augmentation_kernel_module(g),
+        (PlaceDatum("a", subgroup(g, [g.identity])), PlaceDatum("b", subgroup(g, [g.identity]))),
+    )
+    v4 = klein_four()
+    no_places = GlobalData(v4, augmentation_kernel_module(v4), ())
+    rank_zero = GlobalData(v4, trivial_module(v4, 0), (PlaceDatum("v", full_subgroup(v4)),))
+    # the quarter turn has a trivial kernel but not a trivial domain, Z/2:
+    # the targets are built there
+    targets = ((sha1_S, {"coinvariants", "permutation_module"}), (sha1_shapiro, {"coinvariants", "_shapiro_matrix"}))
+    for data, trivial in ((ladder_rung, True), (no_places, True), (rank_zero, True), (quarter_turn_data(), False)):
+        domain = sha._sha_domain(build_place_module(data).sub)
+        assert domain.group.is_trivial == trivial
+        with monkeypatch.context() as m:
+            for name in ("coinvariants", "permutation_module", "_shapiro_matrix"):
+                m.setattr(sha, name, spy(name))
+            for form, built in targets:
+                res = form(data)
+                assert res.group_invariants == () and res.domain is domain
+                assert (res.kernel is domain) == trivial
+                assert set(calls) == (set() if trivial else built), (data, form)
+                calls.clear()
+
+
 def test_trivial_decomposition_fiber_is_the_whole_group():
     v4 = klein_four()
     data = GlobalData(
