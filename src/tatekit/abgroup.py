@@ -159,7 +159,9 @@ class LatticeQuotient:
 
     ``basis`` holds an independent column basis of P and ``relations`` holds
     columns spanning R inside the ambient space.  Instances are treated as
-    immutable after construction.
+    immutable after construction.  A basis whose rows are those of the
+    identity presents all of Z^ambient_rank: every vector is then its own
+    coordinate vector, and no Smith form of the basis is taken.
     """
 
     def __init__(
@@ -178,8 +180,9 @@ class LatticeQuotient:
         self.ambient_rank = ambient_rank
         self.basis = basis
         self.relations = relations
-        # P is all of Z^ambient_rank: every vector is its own coordinate vector
-        self._full_basis = basis.cols == ambient_rank and basis == IntMatrix.identity(ambient_rank)
+        self._full_basis = basis.cols == ambient_rank and all(
+            row[i] == 1 and row.count(0) == ambient_rank - 1 for i, row in enumerate(basis.entries)
+        )
         if self._full_basis:
             self.rel_in_basis = relations
         elif rel_in_basis is not None:
@@ -272,13 +275,13 @@ class LatticeQuotient:
     def torsion_on_generators(self) -> "LatticeQuotient":
         """The torsion subgroup on one generator g per invariant factor d, the
         ``generator_vectors`` of the torsion coordinates, with relation d*g.
-        A vector outside the span of the g cannot be projected into it."""
+        Over the identity basis the g are the lifts themselves.  A vector
+        outside the span of the g cannot be projected into it."""
         units, k = self._units, self._rank_rel
-        eye = IntMatrix.identity(k - units)
-        lifts = IntMatrix(self.basis.cols, eye.rows, tuple(row[units:k] for row in self.snf.u_inv.entries))
-        scaled = (tuple(d * e for e in row) for d, row in zip(self.group.invariant_factors, eye.entries))
-        diag = IntMatrix(eye.rows, eye.rows, tuple(scaled))
-        basis = self.basis @ lifts
+        t, factors = k - units, self.group.invariant_factors
+        lifts = IntMatrix(self.basis.cols, t, tuple(row[units:k] for row in self.snf.u_inv.entries))
+        diag = IntMatrix(t, t, tuple((0,) * i + (d,) + (0,) * (t - 1 - i) for i, d in enumerate(factors)))
+        basis = lifts if self._full_basis else self.basis @ lifts
         return LatticeQuotient(self.ambient_rank, basis, basis @ diag, rel_in_basis=diag)
 
 

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 from .abgroup import AbElement, InducedMap, LatticeQuotient, cokernel
 from .errors import SubgroupMismatchError
-from .matrices import IntMatrix, block_diagonal, hnf_basis, hstack, kernel_basis, vstack
+from .matrices import IntMatrix, block_diagonal, hnf_basis, kernel_basis
 
 __all__ = [
     "FiniteGroup",
@@ -293,11 +293,22 @@ class Subgroup:
         return frozenset(self.members)
 
     def left_coset_of(self, g: int) -> int:
-        """The stored left representative r with g in r * H."""
-        for r in self.left_reps:
-            if self.parent.mul(self.parent.inv(r), g) in self._member_set:
-                return r
-        raise ValueError("coset representative not found")
+        """The stored left representative r with g in r * H, from the coset index."""
+        return self.left_reps[self._coset_index[g]]
+
+    @cached_property
+    def _coset_index(self) -> list[int]:
+        """The position in ``left_reps`` of each element's left coset, filled
+        from left_reps x members in |G| steps, last to first, so that where
+        two representatives share a coset the first one is kept."""
+        index = [None] * self.parent.order
+        for i in range(len(self.left_reps) - 1, -1, -1):
+            row = self.parent.table[self.left_reps[i]]
+            for h in self.members:
+                index[row[h]] = i
+        if None in index:
+            raise ValueError("coset representative not found")
+        return index
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """The subgroup as its own FiniteGroup, plus member list in index order."""
@@ -353,14 +364,8 @@ def quotient_group(parent: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, 
         raise SubgroupMismatchError("subgroup belongs to a different group")
     if not normal.is_normal():
         raise ValueError("subgroup is not normal")
-    reps = normal.left_reps
-    pos = {r: i for i, r in enumerate(reps)}
-    proj = [0] * parent.order
-    for g in parent.elements():
-        proj[g] = pos[normal.left_coset_of(g)]
-    table = tuple(
-        tuple(proj[parent.mul(a, b)] for b in reps) for a in reps
-    )
+    reps, proj = normal.left_reps, normal._coset_index
+    table = tuple(tuple(proj[parent.mul(a, b)] for b in reps) for a in reps)
     inv = tuple(proj[parent.inv(r)] for r in reps)
     q = FiniteGroup(len(reps), table, proj[parent.identity], inv)
     return q, tuple(proj)
@@ -405,12 +410,8 @@ class PermAction:
 
 def coset_action(parent: FiniteGroup, sub: Subgroup) -> PermAction:
     """Left translation on the left coset space parent / sub."""
-    reps = sub.left_reps
-    pos = {r: i for i, r in enumerate(reps)}
-    images = tuple(
-        tuple(pos[sub.left_coset_of(parent.mul(g, r))] for r in reps)
-        for g in parent.elements()
-    )
+    index, reps = sub._coset_index, sub.left_reps
+    images = tuple(tuple(index[row[r]] for r in reps) for row in parent.table)
     return PermAction(parent, len(reps), images)
 
 
@@ -570,21 +571,18 @@ def degree_zero_submodule(action: PermAction, coeff: GModule) -> tuple[GModule, 
 
     Returns (submodule in its own basis, basis matrix into the permutation
     module of :func:`permutation_module`, which is not built).  Basis vectors
-    are e_(w,i) - e_(last,i) for every point w except the last.
+    are e_(w,i) - e_(last,i) for every point w except the last, so the basis
+    matrix is written as identity rows, then the last point's rows: its row i
+    is -1 at coefficient i of every other point.
     """
     if action.group != coeff.group:
         raise ValueError("action and coefficients must share the group")
-    r = coeff.rank
-    deg = action.degree
+    r, deg = coeff.rank, action.degree
     sub_rank = max(deg - 1, 0) * r
-    cols = []
-    for w in range(deg - 1):
-        for i in range(r):
-            col = [0] * (deg * r)
-            col[w * r + i] = 1
-            col[(deg - 1) * r + i] = -1
-            cols.append(col)
-    basis = IntMatrix(deg * r, sub_rank, tuple(tuple(c[t] for c in cols) for t in range(deg * r)))
+    rows = [(0,) * t + (1,) + (0,) * (sub_rank - 1 - t) for t in range(sub_rank)]
+    if deg:
+        rows += (((0,) * i + (-1,) + (0,) * (r - 1 - i)) * (deg - 1) for i in range(r))
+    basis = IntMatrix(deg * r, sub_rank, tuple(rows))
     mats = tuple(
         degree_zero_map(action.images[g], deg, m)
         for g, m in zip(coeff.group.generating_set(), coeff.gens)
@@ -629,12 +627,14 @@ def coinvariants(module: GModule) -> LatticeQuotient:
     """M_G = Z^rank / span{ (g - 1) m }, with projection and lift attached.
 
     The relations are taken over ``generating_set()`` only, which spans the
-    same lattice: (gs - 1) m = (g - 1)(s m) + (s - 1) m.  They are presented
-    by their Hermite normal form, so the quotient depends only on that lattice.
+    same lattice: (gs - 1) m = (g - 1)(s m) + (s - 1) m.  Their matrix
+    [A_1 - I | A_2 - I | ...] is written row by row from the generators'
+    matrices, and presented by its Hermite normal form, so the quotient
+    depends only on that lattice.
     """
-    r = module.rank
-    blocks = [m - IntMatrix.identity(r) for m in module.gens]
-    return cokernel(hnf_basis(hstack(blocks, rows=r)))
+    r, moves = module.rank, _moves(module)
+    rows = tuple(map(tuple, map(itertools.chain.from_iterable, zip(*moves)))) if moves else ((),) * r
+    return cokernel(hnf_basis(IntMatrix(r, r * len(moves), rows)))
 
 
 @lru_cache(maxsize=256)
@@ -644,9 +644,17 @@ def torsion_coinvariants(module: GModule) -> LatticeQuotient:
 
 
 def invariants(module: GModule) -> IntMatrix:
-    """Hermite normal form basis (as columns) of the fixed sublattice M^G."""
-    r = module.rank
-    return kernel_basis(vstack([m - IntMatrix.identity(r) for m in module.gens], cols=r))
+    """Hermite normal form basis (as columns) of the fixed sublattice M^G:
+    the kernel of the generators' A - I stacked one above the other, which
+    is M^G because every element is a word in the generators."""
+    r, moves = module.rank, _moves(module)
+    return kernel_basis(IntMatrix(r * len(moves), r, tuple(itertools.chain.from_iterable(moves))))
+
+
+def _moves(module: GModule) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of A - I for each generator's matrix A, each written from A's
+    row with its diagonal entry decremented."""
+    return [tuple(r[:i] + (r[i] - 1,) + r[i + 1 :] for i, r in enumerate(a.entries)) for a in module.gens]
 
 
 def norm_matrix(module: GModule) -> IntMatrix:

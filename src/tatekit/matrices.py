@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 
 from .errors import MembershipError
 
@@ -26,8 +26,6 @@ __all__ = [
     "solve_vector",
     "solve_matrix",
     "hnf_basis",
-    "hstack",
-    "vstack",
     "block_diagonal",
 ]
 
@@ -133,32 +131,6 @@ class IntMatrix:
             raise ValueError("shapes do not match")
 
 
-def hstack(mats, rows: int | None = None) -> IntMatrix:
-    mats = list(mats)
-    if not mats:
-        if rows is None:
-            raise ValueError("hstack of nothing needs an explicit row count")
-        return IntMatrix.zeros(rows, 0)
-    nrows = mats[0].rows
-    if any(m.rows != nrows for m in mats):
-        raise ValueError("row counts differ")
-    data = tuple(tuple(chain.from_iterable(parts)) for parts in zip(*(m.entries for m in mats)))
-    return IntMatrix(nrows, sum(m.cols for m in mats), data)
-
-
-def vstack(mats, cols: int | None = None) -> IntMatrix:
-    mats = list(mats)
-    if not mats:
-        if cols is None:
-            raise ValueError("vstack of nothing needs an explicit column count")
-        return IntMatrix.zeros(0, cols)
-    ncols = mats[0].cols
-    if any(m.cols != ncols for m in mats):
-        raise ValueError("column counts differ")
-    data = tuple(row for m in mats for row in m.entries)
-    return IntMatrix(sum(m.rows for m in mats), ncols, data)
-
-
 def block_diagonal(mats) -> IntMatrix:
     mats = list(mats)
     total_r = sum(m.rows for m in mats)
@@ -224,11 +196,12 @@ def smith_normal_form(a: IntMatrix, *, cols: bool = True, inverses: bool = True)
     input shape including empty matrices.
 
     Every row of a that is +-1 times a unit vector e_j, the first such row
-    for each column j, is a pivot as it stands: its column is cleared in one
-    entry per row, and these pivots come first on the diagonal, in row
-    order.  The rest of the matrix is then eliminated in place: the pivot is
-    an entry of smallest absolute value in the trailing block, first in
-    row-major order, and entries it does not divide are pulled into its row.
+    for each column j, is a pivot as it stands: its column, read once, is
+    cleared in one entry per row (unless the pivot is its only nonzero
+    entry), and these pivots come first on the diagonal, in row order.  The
+    rest of the matrix is then eliminated in place: the pivot is an entry of
+    smallest absolute value in the trailing block, first in row-major order,
+    and entries it does not divide are pulled into its row.
 
     Only the transforms a caller reads need be tracked; the elimination, its
     pivots and every tracked transform are the same whatever is left out,
@@ -317,29 +290,37 @@ def smith_normal_form(a: IntMatrix, *, cols: bool = True, inverses: bool = True)
             if row[j] in (1, -1):
                 peeled.setdefault(j, i)
     if peeled:
+        # clearing one peeled column changes no other column, so each is read
+        # from one snapshot of the columns; one whose only nonzero entry is
+        # its pivot is already clear
+        columns = list(zip(*s))
         for j, i in peeled.items():
+            col = columns[j]
+            if col.count(0) == m - 1:
+                continue
             e = s[i][j]
-            for k, row in enumerate(s):
-                c = row[j]
+            for k, c in enumerate(col):
                 if c and k != i:
-                    row[j] = 0
+                    s[k][j] = 0
                     u[k][i] -= c * e
                     if track_uinv:
                         uinv_t[i][k] += c * e
         # the peeled rows and columns go to the front in row order, the rest
-        # keep their order
+        # keep their order; a single row or column stays where it is (an
+        # itemgetter of one index would return the item, not a tuple)
         row_order = list(peeled.values())
         row_order += sorted(set(range(m)).difference(row_order))
         col_order = list(peeled)
         col_order += sorted(set(range(n)).difference(col_order))
-        s[:] = [list(map(s[i].__getitem__, col_order)) for i in row_order]
-        u[:] = [u[i] for i in row_order]
-        if track_uinv:
-            uinv_t[:] = [uinv_t[i] for i in row_order]
-        if track_v:
-            v_t[:] = [v_t[j] for j in col_order]
-        if track_vinv:
-            vinv[:] = [vinv[j] for j in col_order]
+        if m > 1:
+            rows_of = operator.itemgetter(*row_order)
+            for x in filter(None, (s, u, uinv_t)):
+                x[:] = rows_of(x)
+        if n > 1:
+            cols_of = operator.itemgetter(*col_order)
+            s[:] = [list(cols_of(row)) for row in s]
+            for x in filter(None, (v_t, vinv)):
+                x[:] = cols_of(x)
 
     t = len(peeled)
     bound = min(m, n)
@@ -423,7 +404,8 @@ def kernel_basis(a: IntMatrix, rows: int | None = None) -> IntMatrix:
     l = n if rows is None else rows
     if not 0 <= l <= n:
         raise ValueError("rows must lie between 0 and the column count")
-    h = hnf_basis(vstack([IntMatrix(l, n, IntMatrix.identity(n).entries[:l]), a]))
+    top = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(l))
+    h = hnf_basis(IntMatrix(l + a.rows, n, top + a.entries))
     k = next((j for j, c in enumerate(zip(*h.entries[l:])) if any(c)), h.cols)
     return IntMatrix(l, k, tuple(row[:k] for row in h.entries[:l]))
 

@@ -26,14 +26,13 @@ from tatekit.gmodule import (
 from tatekit.matrices import (
     block_diagonal,
     hnf_basis,
-    hstack,
     kernel_basis,
     smith_normal_form,
     solve_matrix,
-    vstack,
 )
 from tatekit.sha import sha1_S, sha1_shapiro
 
+from test_matrices import hstack, vstack
 from test_sha import klein_data, quarter_turn_data
 
 
@@ -233,6 +232,42 @@ def test_identity_basis_quotient_agrees_with_general_path(data):
             q.project((0,) * (n + 1))
         with pytest.raises(ValueError):
             _contains_vector(q, (0,) * (n + 1))
+
+
+def test_only_the_identity_basis_is_recognized_as_the_identity():
+    # recognized from its rows: then no Smith form of the basis is taken
+    for n in range(5):
+        eye = IntMatrix.identity(n)
+        q = LatticeQuotient(n, eye, IntMatrix.zeros(n, 0))
+        assert q._full_basis and q._basis_sf is None, n
+        assert q.rel_in_basis is q.relations
+    swap = IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    cycle = IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    flip = IntMatrix.from_rows([[1, 0], [0, -1]])
+    for basis in (swap, cycle, flip, IntMatrix.from_rows([[1, 1], [0, 1]])):
+        n = basis.rows
+        q = LatticeQuotient(n, basis, IntMatrix.zeros(n, 0))
+        assert not q._full_basis and q._basis_sf is not None, basis
+        # the class of e_j is the class of basis column j's coordinates
+        for j, col in enumerate(basis.columns()):
+            assert q.project(col) == cokernel(IntMatrix.zeros(n, 0)).project(tuple(int(i == j) for i in range(n)))
+
+
+def test_torsion_on_generators_over_an_identity_and_another_basis(corpus):
+    # the lifts are the basis when the basis is the identity, and basis @ lifts
+    # otherwise; the relations are the basis columns times their factors
+    seen = set()
+    for name, mname, module in _corpus_modules(corpus):
+        co = coinvariants(module)
+        for q in (co, co.torsion()):
+            seen.add(q._full_basis)
+            red = q.torsion_on_generators()
+            units, k = q._units, q._rank_rel
+            lifts = IntMatrix(q.basis.cols, k - units, tuple(row[units:k] for row in q.snf.u_inv.entries))
+            assert red.basis == q.basis @ lifts, (name, mname)
+            assert red.relations == red.basis @ red.rel_in_basis, (name, mname)
+            assert red.group == co.torsion().group, (name, mname)
+    assert seen == {True, False}
 
 
 def test_common_kernel_of_the_empty_family_and_of_maps_into_rank_zero_targets():

@@ -44,17 +44,19 @@ from tatekit.gmodule import (
     transfer_matrix,
     trivial_module,
     PermAction,
+    Subgroup,
 )
 from tatekit.matrices import (
     IntMatrix,
     block_diagonal,
     hnf_basis,
-    hstack,
+    kernel_basis,
     smith_normal_form,
     solve_matrix_strict,
-    vstack,
 )
 from tatekit.tower import enumerate_subgroups
+
+from test_matrices import hstack, vstack
 
 
 def _is_abelian(g):
@@ -223,6 +225,43 @@ def test_is_normal_matches_the_coset_partition_oracle(corpus):
                 expected = {t for t in g.elements() if g.table[g.table[g.inverses[x]][t]][x] in h.members}
                 assert g.conjugate(x, h.members) == expected, (name, h.members, x)
     assert seen == {True, False}
+
+
+def _coset_by_search(h, x):
+    """The first stored left representative r with x in r * H, found by
+    scanning them: the oracle for the coset index."""
+    p = h.parent
+    return next(r for r in h.left_reps if h.contains(p.mul(p.inv(r), x)))
+
+
+def test_coset_index_agrees_with_the_representative_search(corpus):
+    s4, _ = from_permutations([(1, 2, 3, 0), (1, 0, 2, 3)])
+    seen_normal = set()
+    for name, g in {**corpus, "S4": s4}.items():
+        for h in enumerate_subgroups(g):
+            reps = h.left_reps
+            pos = {r: i for i, r in enumerate(reps)}
+            search = [_coset_by_search(h, x) for x in g.elements()]
+            assert [h.left_coset_of(x) for x in g.elements()] == search, (name, h.members)
+            images = tuple(tuple(pos[search[g.mul(x, r)]] for r in reps) for x in g.elements())
+            assert coset_action(g, h).images == images, (name, h.members)
+            normal = h.is_normal()
+            seen_normal.add(normal)
+            if normal:
+                q, proj = quotient_group(g, h)
+                assert proj == tuple(pos[r] for r in search), (name, h.members)
+                assert q.table == tuple(tuple(proj[g.mul(a, b)] for b in reps) for a in reps), (name, h.members)
+    assert seen_normal == {True, False}
+
+
+def test_coset_index_keeps_the_first_representative_and_needs_every_coset():
+    g = dihedral(3)
+    h = generated_subgroup(g, [next(x for x in g.elements() if g.element_order(x) == 2)])
+    every = Subgroup(g, h.members, tuple(g.elements()), h.right_reps)
+    assert [every.left_coset_of(x) for x in g.elements()] == [_coset_by_search(every, x) for x in g.elements()]
+    short = Subgroup(g, h.members, h.left_reps[:-1], h.right_reps)
+    with pytest.raises(ValueError, match="coset representative not found"):
+        short.left_coset_of(g.identity)
 
 
 # -- permutation actions ---------------------------------------------------
@@ -539,6 +578,62 @@ def test_coinvariants_over_generators_equal_those_over_every_element(corpus):
             ), (name, r)
             assert q.generator_vectors() == ref.generator_vectors(), (name, r)
             assert q.group == cokernel(every).group, (name, r)
+
+
+def _edge_modules(corpus):
+    """Corpus modules, and the edge shapes: rank 0, degree-zero submodules of
+    actions of degree 0, 1 and more, and the trivial group, which has no
+    generators."""
+    for name, g in corpus.items():
+        if g.order > 8:
+            continue
+        aug = augmentation_kernel_module(g)
+        yield name, "triv0", trivial_module(g, 0)
+        yield name, "triv2", trivial_module(g, 2)
+        yield name, "aug", aug
+        yield name, "aug+triv1", direct_sum_modules([aug, trivial_module(g, 1)])
+        actions = {
+            "deg0": PermAction(g, 0, tuple(() for _ in g.elements())),
+            "deg1": coset_action(g, full_subgroup(g)),
+            "deg2": disjoint_union_action([coset_action(g, full_subgroup(g))] * 2),
+            "cosets": coset_action(g, generated_subgroup(g, g.generating_set()[:1])),
+        }
+        for aname, action in actions.items():
+            for cname, coeff in (("triv1", trivial_module(g, 1)), ("aug", aug)):
+                yield name, f"{aname}/{cname}", degree_zero_submodule(action, coeff)[0]
+
+
+def _degree_zero_basis_by_columns(degree, r):
+    """The degree-zero basis built column by column, e_(w,i) - e_(last,i)."""
+    cols = []
+    for w in range(degree - 1):
+        for i in range(r):
+            col = [0] * (degree * r)
+            col[w * r + i] = 1
+            col[(degree - 1) * r + i] = -1
+            cols.append(col)
+    return IntMatrix(degree * r, len(cols), tuple(tuple(c[t] for c in cols) for t in range(degree * r)))
+
+
+def test_relation_matrices_written_from_the_generators_equal_the_dense_ones(corpus):
+    shapes = set()
+    for name, mname, module in _edge_modules(corpus):
+        r = module.rank
+        shapes.add((r == 0, len(module.gens) == 0))
+        moves = [m - IntMatrix.identity(r) for m in module.gens]
+        assert coinvariants(module).relations == hnf_basis(hstack(moves, rows=r)), (name, mname)
+        assert invariants(module) == kernel_basis(vstack(moves, cols=r)), (name, mname)
+    assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_degree_zero_basis_equals_the_column_built_basis(corpus):
+    for name in ("Z1", "Z2", "S3"):
+        g = corpus[name]
+        for degree in range(5):
+            action = PermAction(g, degree, tuple(tuple(range(degree)) for _ in g.elements()))
+            for r in range(4):
+                basis = degree_zero_submodule(action, trivial_module(g, r))[1]
+                assert basis == _degree_zero_basis_by_columns(degree, r), (name, degree, r)
 
 
 def test_invariants_and_tate_h0_are_presented_by_hermite_normal_forms(corpus):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,9 @@ from tatekit import IntMatrix, hnf_basis, kernel_basis, smith_normal_form
 from tatekit.errors import MembershipError
 from tatekit.matrices import (
     block_diagonal,
-    hstack,
     solve_matrix,
     solve_matrix_strict,
     solve_vector,
-    vstack,
 )
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -46,6 +45,35 @@ def _det(a):
 
 def _transpose(a):
     return IntMatrix(a.cols, a.rows, tuple(zip(*a.entries)) if a.entries else ((),) * a.cols)
+
+
+def hstack(mats, rows=None):
+    """The matrices side by side; the dense oracle for relation matrices
+    that the library writes from their blocks."""
+    mats = list(mats)
+    if not mats:
+        if rows is None:
+            raise ValueError("hstack of nothing needs an explicit row count")
+        return IntMatrix.zeros(rows, 0)
+    nrows = mats[0].rows
+    if any(m.rows != nrows for m in mats):
+        raise ValueError("row counts differ")
+    data = tuple(tuple(chain.from_iterable(parts)) for parts in zip(*(m.entries for m in mats)))
+    return IntMatrix(nrows, sum(m.cols for m in mats), data)
+
+
+def vstack(mats, cols=None):
+    """The matrices one above the other."""
+    mats = list(mats)
+    if not mats:
+        if cols is None:
+            raise ValueError("vstack of nothing needs an explicit column count")
+        return IntMatrix.zeros(0, cols)
+    ncols = mats[0].cols
+    if any(m.cols != ncols for m in mats):
+        raise ValueError("column counts differ")
+    data = tuple(row for m in mats for row in m.entries)
+    return IntMatrix(sum(m.rows for m in mats), ncols, data)
 
 
 def matrices(max_dim=5):
@@ -371,6 +399,26 @@ def test_truncated_v_on_zero_size_shapes():
     for l in (4, -1):
         with pytest.raises(ValueError):
             kernel_basis(IntMatrix.zeros(2, 3), rows=l)
+
+
+def _kernel_basis_dense(a, l):
+    """kernel_basis from [the first l rows of the n x n identity; a], stacked
+    densely: the construction the library writes row by row."""
+    n = a.cols
+    h = hnf_basis(vstack([IntMatrix(l, n, IntMatrix.identity(n).entries[:l]), a]))
+    k = next((j for j, c in enumerate(zip(*h.entries[l:])) if any(c)), h.cols)
+    return IntMatrix(l, k, tuple(row[:k] for row in h.entries[:l]))
+
+
+@given(st.data())
+def test_kernel_basis_equals_the_dense_construction(data):
+    # zero-row and zero-column inputs, then random ones of every shape up to 5 x 5
+    shapes = [IntMatrix.zeros(0, n) for n in range(5)] + [IntMatrix.zeros(m, 0) for m in range(4)]
+    shapes.append(data.draw(planted(5)))
+    for a in shapes:
+        for l in range(a.cols + 1):
+            assert kernel_basis(a, rows=l) == _kernel_basis_dense(a, l), (a, l)
+        assert kernel_basis(a) == _kernel_basis_dense(a, a.cols), a
 
 
 @given(matrices(8))

@@ -27,7 +27,7 @@ from tatekit.gmodule import (
     torsion_coinvariants,
     trivial_module,
 )
-from tatekit.matrices import IntMatrix, block_diagonal, vstack
+from tatekit.matrices import IntMatrix, block_diagonal
 from tatekit.sha import (
     GlobalData,
     PlaceDatum,
@@ -39,6 +39,8 @@ from tatekit.sha import (
     sha1_shapiro,
     tate_obstruction,
 )
+
+from test_matrices import vstack
 
 
 def klein_data() -> GlobalData:
