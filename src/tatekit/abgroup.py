@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import MembershipError
+from .errors import CoordinateLengthError, DomainError, MembershipError
 from .matrices import (
     IntMatrix,
     SmithForm,
@@ -32,6 +32,7 @@ __all__ = [
     "AbElement",
     "LatticeQuotient",
     "InducedMap",
+    "class_in",
     "cokernel",
     "common_kernel",
     "element_order",
@@ -141,6 +142,19 @@ class AbElement:
         return element_order(self)
 
 
+def class_in(group: FinAbGroup, x, field: str) -> AbElement:
+    """``x`` as an element of ``group``: an element of it, or its coordinates.
+    The errors name ``field``, the input ``x`` came from."""
+    if isinstance(x, AbElement):
+        if x.group != group:
+            raise DomainError(f"{field}: the class does not live in this group")
+        return x
+    coords = tuple(x)
+    if len(coords) != group.ncoords:
+        raise CoordinateLengthError(f"{field}: expected {group.ncoords} coordinates, got {len(coords)}")
+    return group.element(coords)
+
+
 def element_order(x: AbElement):
     """Order of x: a positive integer, or INFINITE."""
     g = x.group
@@ -180,9 +194,7 @@ class LatticeQuotient:
         self.ambient_rank = ambient_rank
         self.basis = basis
         self.relations = relations
-        self._full_basis = basis.cols == ambient_rank and all(
-            row[i] == 1 and row.count(0) == ambient_rank - 1 for i, row in enumerate(basis.entries)
-        )
+        self._full_basis = basis.is_identity()
         if self._full_basis:
             self.rel_in_basis = relations
         elif rel_in_basis is not None:

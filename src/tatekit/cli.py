@@ -24,7 +24,7 @@ from functools import cache
 from types import SimpleNamespace
 
 from . import __version__, serial
-from .errors import DomainError, SchemaError, TatekitError, TheoremViolationError
+from .errors import CoordinateLengthError, DomainError, SchemaError, TatekitError, TheoremViolationError
 from .gmodule import coinvariants, tate_h0, tate_h_minus1, transfer
 from .local import (
     TameExtDescriptor,
@@ -242,7 +242,10 @@ def _op_obstruction(payload: dict):
     data, classes = serial.load_scenario(payload.get("scenario"), "input.scenario")
     if classes is None:
         raise SchemaError("input.scenario.local_classes: missing")
-    res = tate_obstruction(data, classes)
+    try:
+        res = tate_obstruction(data, classes)
+    except CoordinateLengthError as exc:
+        raise SchemaError(f"input.scenario.{exc}") from None
     result = {
         "verdict": res.verdict,
         "exists": res.exists,
@@ -280,7 +283,10 @@ def _op_exponents(payload: dict):
 
 def _op_split_sim(payload: dict):
     cfg, alpha = serial.load_tower(payload, "input")
-    rep = simulate_splitting_tower(cfg, alpha)
+    try:
+        rep = simulate_splitting_tower(cfg, alpha)
+    except CoordinateLengthError as exc:
+        raise SchemaError(f"input.{exc}") from None
     result = {
         "theta_order": rep.theta_order,
         "n": rep.n,

@@ -27,6 +27,12 @@ class MembershipError(DomainError):
     code = "NOT_IN_LATTICE"
 
 
+class CoordinateLengthError(DomainError):
+    """Class coordinates of the wrong length for the group they name."""
+
+    code = "COORDINATE_LENGTH"
+
+
 class SubgroupMismatchError(DomainError):
     code = "SUBGROUP_MISMATCH"
 

@@ -477,11 +477,10 @@ def module_from_generators(group: FiniteGroup, rank: int, gen_matrices: dict) ->
     it too.  That is the homomorphism law, and in a finite group it also
     makes every matrix invertible: A(g)^|g| = A(1) = I.
     """
-    eye = IntMatrix.identity(rank)
     for g, m in gen_matrices.items():
         if m.rows != rank or m.cols != rank:
             raise ValueError("generator matrix has the wrong shape")
-        if g == group.identity and m != eye:
+        if g == group.identity and not m.is_identity():
             raise ValueError("inconsistent generator assignment")
     mats = tuple(gen_matrices.values())
     action, others = _multiply_out(group, tuple(gen_matrices), mats, rank)

@@ -65,6 +65,12 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
+    def is_identity(self) -> bool:
+        """Whether this is the identity, read from the rows: each has its 1
+        on the diagonal and zeros elsewhere."""
+        n = self.cols
+        return self.rows == n and all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self.entries))
+
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))

@@ -15,9 +15,9 @@ kernel, and neither form builds a target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .abgroup import AbElement, InducedMap, LatticeQuotient, common_kernel
+from .abgroup import AbElement, InducedMap, LatticeQuotient, class_in, common_kernel
 from .errors import DomainError, HypothesisFailError, TheoremViolationError, UnknownPlaceError
 from .gmodule import (
     FiniteGroup,
@@ -256,13 +256,8 @@ def tate_obstruction(data: GlobalData, local_classes) -> GlobalClassResult:
     contributions = []
     echo = []
     for label in sorted(local_classes):
-        cls = local_classes[label]
         lq = local_torsion_quotient(data, label)
-        if isinstance(cls, AbElement):
-            if cls.group != lq.group:
-                raise DomainError(f"class at {label!r} does not live in its local group")
-        else:
-            cls = lq.group.element(cls)
+        cls = class_in(lq.group, local_classes[label], f"local_classes.{label}")
         vec = lq.lift(cls)
         img = tors_theta.project(vec)
         contributions.append((label, img.coords))
@@ -294,7 +289,6 @@ class PushforwardResult:
     fixed_points: tuple[tuple[int, int | None], ...]
     beta: InducedMap
     section: InducedMap
-    kernel: LatticeQuotient
     beta_after_section_id: bool
     section_after_beta_id: bool
     orbit_count: int
@@ -304,6 +298,11 @@ class PushforwardResult:
     @property
     def iso_certified(self) -> bool:
         return self.beta_after_section_id and self.section_after_beta_id
+
+    @cached_property
+    def kernel(self) -> LatticeQuotient:
+        """The kernel of ``beta``, computed when first read."""
+        return self.beta.kernel()
 
 
 def lemma_pushforward(
@@ -365,7 +364,6 @@ def lemma_pushforward(
     beta = InducedMap(coinv_e, coinv_f, beta_deg0)
     section = InducedMap(coinv_f, coinv_e, sect_deg0)
 
-    kernel = beta.kernel()
     bs_id = InducedMap.compose(beta, section).is_identity_on(coinv_f)
     sb_id = InducedMap.compose(section, beta).is_identity_on(coinv_e)
 
@@ -384,7 +382,6 @@ def lemma_pushforward(
         fixed_points=fixed,
         beta=beta,
         section=section,
-        kernel=kernel,
         beta_after_section_id=bs_id,
         section_after_beta_id=sb_id,
         orbit_count=n_orbits,
@@ -393,6 +390,7 @@ def lemma_pushforward(
     )
     if not hypothesis:
         violating = next(h for h, pt in fixed if pt is None)
+        kernel = result.kernel
         witness = None
         if not kernel.group.is_trivial:
             witness = tuple(kernel.generator_vectors()[0])

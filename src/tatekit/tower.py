@@ -8,7 +8,9 @@ subgroup of Theta x Z/n^(r-1) is stored in projection/step/value form
 (:class:`ProductSubgroup`) on which fiber sizes, images at lower levels, and
 the effective quotient that actually acts are all small gcd computations.
 Transfer sums over the huge cyclic factor collapse to weighted sums over that
-effective quotient with exact integer multiplicities.
+effective quotient with exact integer multiplicities.  The base level and the
+effective one are compared by :func:`tatekit.sha.lemma_pushforward`, which
+collapses the orbits of the cyclic factor onto the places below.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .abgroup import AbElement, InducedMap
+from .abgroup import InducedMap, class_in
 from .errors import (
     BoundViolationError,
     DomainError,
@@ -41,7 +43,7 @@ from .gmodule import (
     torsion_coinvariants,
 )
 from .matrices import IntMatrix
-from .sha import GlobalData, PlaceDatum, PlaceModule, build_place_module, sha1_S
+from .sha import GlobalData, PlaceDatum, build_place_module, lemma_pushforward, sha1_S
 
 __all__ = [
     "MAX_ENUM_ORDER",
@@ -401,27 +403,22 @@ class SimulationReport:
         )
 
 
-def _point_transport(target_pm: PlaceModule, source_pm: PlaceModule, mapper) -> IntMatrix:
-    """Degree-zero map carrying each source point's block onto its image's."""
-    index = {pt: i for i, pt in enumerate(target_pm.points)}
-    images = [index[mapper(pt)] for pt in source_pm.points]
-    eye = IntMatrix.identity(source_pm.data.module.rank)
-    return degree_zero_map(images, len(target_pm.points), eye)
-
-
 def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
     """Run the tower: find the pigeonhole level, transport alpha up, transfer down.
 
     ``alpha`` is a class in the kernel group computed by :func:`sha1_S` on
     ``cfg.data`` (an element of that group, or raw coordinates in it), killed
     by ``cfg.n``.  The run certifies, in order: the cardinality scan stays in
-    its window and repeats at some level s <= r; the two-level comparison
-    maps are mutually inverse on torsion coinvariants; the group action
-    images at levels s-1 and s coincide; the middle transfer is literally
+    its window and repeats at some level s <= r; collapsing the orbits of the
+    cyclic factor and its section are mutually inverse on the full
+    coinvariants (:func:`lemma_pushforward`, whose hypothesis holds because
+    the factor fixes every auxiliary point); the group action images at
+    levels s-1 and s coincide; the middle transfer is literally
     multiplication by n on the nose; and the full transfer kills the
     transported class, computed both directly and through the composition.
     Violations of the certified statements raise TheoremViolationError
-    subclasses; bad inputs raise DomainError subclasses.
+    subclasses; bad inputs raise DomainError subclasses (coordinates of the
+    wrong length: CoordinateLengthError).
     """
     data, n = cfg.data, cfg.n
     theta = data.theta
@@ -485,49 +482,21 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
     data_s = GlobalData(geff, meff, tuple(eff_places))
     pm_s = build_place_module(data_s)
 
-    triv = subgroup(theta, [theta.identity])
-    data_f = GlobalData(
-        theta, data.module, data.places + (PlaceDatum(cfg.extra_label, triv),)
-    )
-    pm_f = build_place_module(data_f)
-
-    # alpha, extended by zero onto the enlarged base set
     sha = sha1_S(data)
-    if isinstance(alpha, AbElement):
-        if alpha.group != sha.kernel.group:
-            raise DomainError("class does not live in the kernel group of this data")
-        alpha_cls = alpha
-    else:
-        alpha_cls = sha.kernel.group.element(tuple(alpha))
+    alpha_cls = class_in(sha.kernel.group, alpha, "alpha")
     if not (n * alpha_cls).is_zero():
         raise DomainError("class is not killed by the tower degree")
-    pm0 = sha.place_module
-    dom_f = torsion_coinvariants(pm_f.sub)
-    inc0 = _point_transport(pm_f, pm0, lambda pt: pt)
-    alpha_f = dom_f.project(inc0.mul_vec(sha.kernel.lift(alpha_cls)))
 
-    # level comparison: collapse the cyclic orbits, then the minimal section
-    def sect_point(pt):
-        label, rho = pt
-        return (label, data_s.place(label).decomposition.left_coset_of(rho * e))
-
-    def coll_point(pt):
-        label, g = pt
-        return (label, data_f.place(label).decomposition.left_coset_of(g // e))
-
+    # level comparison: collapse the orbits of the cyclic factor 1 x Z/e, which
+    # fixes every auxiliary point.  Numbered by their first points, the orbits
+    # are the base places in order, then the auxiliary points.
+    ident = theta.identity * e
+    comparison = lemma_pushforward(geff, subgroup(geff, range(ident, ident + e)), meff, pm_s.action)
+    # alpha, extended by zero onto the auxiliary points, then up by the section
+    eye = IntMatrix.identity(data.module.rank)
+    inc0 = degree_zero_map(range(len(sha.place_module.points)), comparison.orbit_count, eye)
     dom1 = torsion_coinvariants(pm_s.sub)
-    sect0 = _point_transport(pm_s, pm_f, sect_point)
-    coll0 = _point_transport(pm_f, pm_s, coll_point)
-    sect_map = InducedMap(dom_f, dom1, sect0)
-    coll_map = InducedMap(dom1, dom_f, coll0)
-    if not InducedMap.compose(coll_map, sect_map).is_identity_on(dom_f):
-        raise TheoremViolationError("collapse after section is not the identity")
-    if not InducedMap.compose(sect_map, coll_map).is_identity_on(dom1):
-        # the auxiliary orbit is fixed pointwise by the cyclic factor, so the
-        # fixed-place hypothesis holds and the composite must be the identity
-        raise TheoremViolationError("section after collapse is not the identity")
-    iso_certified = True
-    alpha1 = sect_map(alpha_f)
+    alpha1 = dom1.project(comparison.section.matrix.mul_vec(inc0.mul_vec(sha.kernel.lift(alpha_cls))))
 
     # images of the two top level groups inside the effective one
     theta0 = subgroup(geff, sorted(t * e for t in theta.elements()))
@@ -540,7 +509,6 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
         raise TheoremViolationError("action images at the top two levels differ")
 
     arank = pm_s.sub.rank
-    ident = theta.identity * e
 
     def sigma_power_sum(count: int, stride: int) -> IntMatrix:
         # sum of the actions of (1, k * stride) for k in range(count); count
@@ -593,7 +561,7 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
         transfer_vanished=True,
         action_images_coincide=True,
         mid_transfer_is_mult_n=True,
-        iso_certified=iso_certified,
+        iso_certified=comparison.iso_certified,
         splitting_degree=(n, s - 1),
         bound=(n, exps.rho),
     )

@@ -294,6 +294,44 @@ def test_a_permutation_payload_that_is_no_permutation_is_a_schema_error(tmp_path
     assert good["result"]["subgroup_count"] == "2"
 
 
+def klein_tower(alpha):
+    sigma = [{"label": f"v{g}", "generators": [[g, 1]]} for g in (1, 2, 3)]
+    return {"scenario": klein_scenario(), "n": 2, "sigma": sigma, "alpha": alpha}
+
+
+def quarter_classes(classes):
+    return {"scenario": {**quarter_scenario(), "local_classes": classes}}
+
+
+@pytest.mark.parametrize(
+    "op,payload,field,got",
+    [
+        ("split-sim", klein_tower([1, 0]), "input.alpha", 2),
+        ("split-sim", klein_tower([]), "input.alpha", 0),
+        ("tate-obstruction", quarter_classes({"v": [1, 1]}), "input.scenario.local_classes.v", 2),
+        ("tate-obstruction", quarter_classes({"v": [1], "u": []}), "input.scenario.local_classes.u", 0),
+    ],
+)
+def test_class_coordinates_of_the_wrong_length_are_a_schema_error(tmp_path, capsys, op, payload, field, got):
+    error = {"code": "SCHEMA_ERROR", "message": f"{field}: expected 1 coordinates, got {got}"}
+    path = write(tmp_path, "in.json", payload)
+    code, body, _ = run_cli(capsys, [op, path])
+    assert code == 1
+    assert body["error"] == error
+    # in a batch, the jobs beside it keep their reports
+    path = write(tmp_path, "batch.json", {"jobs": [
+        {"op": "split-sim", "input": klein_tower([1])},
+        {"op": op, "input": payload},
+        {"op": "tate-obstruction", "input": quarter_classes({"v": [1]})},
+    ]})
+    code, body, _ = run_cli(capsys, ["run", "--batch", path])
+    tower, bad, obstruction = body["reports"]
+    assert code == 1
+    assert tower["result"]["alpha_trace"][0] == ["level_1", ["2"]]
+    assert bad == {"op": op, "error": error}
+    assert obstruction["result"]["verdict"] == "OBSTRUCTED"
+
+
 def test_bool_is_not_an_integer(tmp_path, capsys):
     path = write(tmp_path, "b.json", {"theta_order": True})
     code, body, _ = run_cli(capsys, ["exponents", path])

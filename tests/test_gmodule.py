@@ -410,6 +410,12 @@ def test_module_from_generators_completion_and_errors():
     assert any(action[b] != action[a] @ rot for a, _, b in others)
     with pytest.raises(ValueError, match="inconsistent generator assignment"):
         module_from_generators(z4, 2, {0: rot, 1: rot})
+    # a matrix given for the identity element is tested by its rows
+    assert module_from_generators(z4, 2, {0: IntMatrix.identity(2), 1: rot}) == module_from_generators(z4, 2, {1: rot})
+    assert module_from_generators(z4, 0, {0: IntMatrix.identity(0), 1: IntMatrix.identity(0)}).rank == 0
+    for wrong in ([[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 1], [0, 1]], [[1, 0], [0, 2]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="inconsistent generator assignment"):
+            module_from_generators(z4, 2, {0: IntMatrix.from_rows(wrong), 1: rot})
 
 
 def test_restrict_module_rejects_foreign_subgroup():

@@ -184,6 +184,21 @@ def test_lattice_basis_spans_same_lattice(a):
     assert b.cols == smith_normal_form(a).rank
 
 
+def test_is_identity_reads_the_rows():
+    assert all(IntMatrix.identity(n).is_identity() for n in range(5))
+    others = [
+        [[0, 1], [1, 0]],
+        [[1, 0], [0, -1]],
+        [[1, 1], [0, 1]],
+        [[1, 0], [0, 2]],
+        [[1, 0], [0, 0]],
+        [[1, 0, 0], [0, 1, 0]],
+        [[1, 0], [0, 1], [0, 0]],
+    ]
+    assert not any(IntMatrix.from_rows(rows).is_identity() for rows in others)
+    assert not IntMatrix(0, 2, ()).is_identity() and not IntMatrix(2, 0, ((), ())).is_identity()
+
+
 def test_stack_and_block():
     a = IntMatrix.from_rows([[1, 2]])
     b = IntMatrix.from_rows([[3, 4], [5, 6]])

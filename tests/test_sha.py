@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from tatekit import cli, serial, sha
 from tatekit.abgroup import InducedMap, cokernel
-from tatekit.errors import DomainError, HypothesisFailError, UnknownPlaceError
+from tatekit.errors import CoordinateLengthError, DomainError, HypothesisFailError, UnknownPlaceError
 from tatekit.gmodule import (
     augmentation_kernel_module,
     coinvariants,
@@ -419,6 +419,9 @@ def test_obstruction_input_guards():
     foreign = coinvariants(augmentation_kernel_module(klein_four())).torsion()
     with pytest.raises(DomainError):
         tate_obstruction(data, {"v": foreign.group.zero()})
+    for coords in ((1, 0), ()):  # each local torsion group is Z/2
+        with pytest.raises(CoordinateLengthError, match=f"^local_classes.v: expected 1 coordinates, got {len(coords)}$"):
+            tate_obstruction(data, {"u": (1,), "v": coords})
 
 
 # -- collapse of place fibers --------------------------------------------------
@@ -438,6 +441,27 @@ def test_pushforward_certifies_iso_when_places_are_fixed():
     assert res.orbit_count == 2
     assert all(pt is not None for _, pt in res.fixed_points)
     assert res.source_invariants == res.target_invariants
+
+
+def test_pushforward_computes_its_kernel_when_it_is_read(monkeypatch):
+    calls = []
+    kernel = InducedMap.kernel
+
+    def spy(self):
+        calls.append(self)
+        return kernel(self)
+
+    monkeypatch.setattr(InducedMap, "kernel", spy)
+    g = cyclic(4)
+    sub = generated_subgroup(g, [2])
+    module = trivial_module(g, 1)
+    res = lemma_pushforward(g, sub, module, coset_action(g, sub))
+    assert res.iso_certified and calls == []
+    ker = res.kernel
+    assert calls == [res.beta]
+    assert res.kernel is ker and len(calls) == 1
+    expected = kernel(res.beta)
+    assert (ker.basis, ker.relations, ker.group) == (expected.basis, expected.relations, expected.group)
 
 
 def test_pushforward_counter_instance_fails_loudly():
@@ -472,3 +496,4 @@ def test_pushforward_guards():
         lemma_pushforward(
             g, sub, trivial_module(cyclic(2), 1), action
         )
+

@@ -5,15 +5,22 @@ string; a refactor that renames or uncaches one would only surface when a
 traced benchmark run fails.  These checks read its tables and change nothing.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import tatekit.cli  # noqa: F401  (the tracer installs over a loaded CLI)
 from tatekit.matrices import IntMatrix, SmithForm, smith_normal_form
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer():
@@ -83,3 +90,22 @@ def test_every_package_attribute_named_after_a_submodule_is_that_submodule():
     for name in names:
         module = importlib.import_module(f"tatekit.{name}")
         assert getattr(package, name) is module, name
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["local_counterexample.py", "--max-p", "60"], "450b8da3bc4fa3a897f075c06d655e6b62f5ceb551ef83de618f0414e38b72f0"),
+        (["klein_tower.py", "--n", "2", "--alpha", "1"], "ebba790583f23831924e323a29902df5818486a1bb173cb82e7040bec4b1f740"),
+        (["subgroup_bounds.py", "--max-order", "16"], "412e8bcf4daa29e3afbf120baa1d99e3c73902a68f41c05b56635ae972fe8439"),
+    ],
+)
+def test_the_readme_scripts_print_what_they_printed(argv, digest):
+    # the README's three example commands, run on this checkout's sources
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]], capture_output=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    assert hashlib.sha256(run.stdout).hexdigest() == digest

@@ -4,21 +4,29 @@ import itertools
 
 import pytest
 
+from tatekit import cli, sha
 from tatekit.errors import (
+    CoordinateLengthError,
     DomainError,
+    TheoremViolationError,
     TooLargeError,
 )
 from tatekit.gmodule import (
+    augmentation_kernel_module,
+    coinvariants,
     cyclic,
+    degree_zero_map,
     dihedral,
     direct_product,
     full_subgroup,
     generated_subgroup,
     klein_four,
+    pullback_module,
     subgroup,
     trivial_module,
 )
-from tatekit.sha import GlobalData, PlaceDatum, sha1_S
+from tatekit.matrices import IntMatrix
+from tatekit.sha import GlobalData, PlaceDatum, build_place_module, lemma_pushforward, sha1_S
 from tatekit.tower import (
     MAX_RHO_BITS,
     TowerConfig,
@@ -31,6 +39,7 @@ from tatekit.tower import (
     subgroup_bound_check,
 )
 
+from test_cli import klein_tower, run_cli, write
 from test_sha import klein_data, quarter_turn_data
 
 
@@ -321,3 +330,115 @@ def test_simulation_input_guards():
     alien = sha1_S(quarter_turn_data()).kernel.group.zero()
     with pytest.raises(DomainError):
         simulate_splitting_tower(default_tower_config(data, 2), alien)
+
+    for coords in ((1, 0), ()):  # the kernel group is Z/2
+        with pytest.raises(CoordinateLengthError, match=f"^alpha: expected 1 coordinates, got {len(coords)}$"):
+            simulate_splitting_tower(default_tower_config(data, 2), coords)
+
+
+# -- the level comparison against the point-by-point route it replaced ----------
+
+
+def _level_data(cfg, e) -> GlobalData:
+    """Theta x Z/e acting on the places of ``cfg`` and the auxiliary place,
+    as the simulation builds its effective level."""
+    theta = cfg.data.theta
+    geff = direct_product(theta, cyclic(e))
+    meff = pullback_module(cfg.data.module, geff, tuple(g // e for g in range(geff.order)))
+    sigma = dict(cfg.sigma)
+    gens = [(p.label, sigma[p.label]) for p in cfg.data.places]
+    gens.append((cfg.extra_label, ((theta.identity, 1),)))
+    places = [PlaceDatum(label, subgroup(geff, product_subgroup(theta, g).members_at(e))) for label, g in gens]
+    return GlobalData(geff, meff, tuple(places))
+
+
+def _point_by_point(cfg, data_s, e):
+    """The base level with one auxiliary point per element of Theta, and the
+    section (rho -> rho * e) and collapse (g -> g // e) built point by point."""
+    theta = cfg.data.theta
+    data_f = GlobalData(
+        theta, cfg.data.module, cfg.data.places + (PlaceDatum(cfg.extra_label, subgroup(theta, [theta.identity])),)
+    )
+    pm_f, pm_s = build_place_module(data_f), build_place_module(data_s)
+    eye = IntMatrix.identity(cfg.data.module.rank)
+
+    def transport(target, source, coset_of):
+        index = {pt: i for i, pt in enumerate(target.points)}
+        images = [index[(label, coset_of(label, g))] for label, g in source.points]
+        return degree_zero_map(images, len(target.points), eye)
+
+    section = transport(pm_s, pm_f, lambda label, rho: data_s.place(label).decomposition.left_coset_of(rho * e))
+    collapse = transport(pm_f, pm_s, lambda label, g: data_f.place(label).decomposition.left_coset_of(g // e))
+    return pm_f, section, collapse
+
+
+def _last_point_first(action, members, rank):
+    """Section and collapse of a comparison that numbers each orbit by its
+    last point, scanning the points from the last one down."""
+    orbit_of, reps = [-1] * action.degree, []
+    for x in reversed(range(action.degree)):
+        if orbit_of[x] < 0:
+            for h in members:
+                orbit_of[action.act(h, x)] = len(reps)
+            reps.append(x)
+    eye = IntMatrix.identity(rank)
+    return degree_zero_map(reps, action.degree, eye), degree_zero_map(orbit_of, len(reps), eye)
+
+
+def _trivial_and_full_data(g) -> GlobalData:
+    places = (PlaceDatum("t", subgroup(g, [g.identity])), PlaceDatum("f", full_subgroup(g)))
+    return GlobalData(g, augmentation_kernel_module(g), places)
+
+
+@pytest.mark.parametrize(
+    "data_factory,n",
+    [
+        (klein_data, 2),
+        (klein_data, 4),
+        (quarter_turn_data, 1),
+        (lambda: _trivial_and_full_data(cyclic(2)), 2),
+        (lambda: _trivial_and_full_data(cyclic(3)), 3),
+        (lambda: _trivial_and_full_data(klein_four()), 4),
+    ],
+)
+def test_the_pushforward_orbits_are_the_base_places_in_order(data_factory, n):
+    cfg = default_tower_config(data_factory(), n)
+    e = simulate_splitting_tower(cfg, sha1_S(cfg.data).kernel.group.zero()).effective_exponent
+    data_s = _level_data(cfg, e)
+    pm_s = build_place_module(data_s)
+    geff = data_s.theta
+    ident = cfg.data.theta.identity * e
+    cyclic_factor = subgroup(geff, range(ident, ident + e))
+    comparison = lemma_pushforward(geff, cyclic_factor, data_s.module, pm_s.action)
+    pm_f, section, collapse = _point_by_point(cfg, data_s, e)
+
+    assert comparison.iso_certified
+    assert comparison.orbit_count == len(pm_f.points)
+    assert comparison.section.matrix == section
+    assert comparison.beta.matrix == collapse
+    base = coinvariants(pm_f.sub)
+    assert comparison.section.source.basis == base.basis
+    assert comparison.section.source.relations == base.relations
+    # numbering the orbits by their last points gives other matrices
+    mutant = _last_point_first(pm_s.action, cyclic_factor.members, cfg.data.module.rank)
+    assert mutant != (section, collapse)
+
+
+# -- a failing comparison ------------------------------------------------------------
+
+
+def test_a_corrupted_comparison_is_a_theorem_violation(monkeypatch, tmp_path, capsys):
+    cfg = default_tower_config(klein_data(), 2)
+    assert simulate_splitting_tower(cfg, (1,)).iso_certified
+    # the lemma's section and collapse come out doubled, so collapse after
+    # section is four times the identity
+    monkeypatch.setattr(
+        sha, "degree_zero_map", lambda images, degree, block: degree_zero_map(images, degree, block.scaled(2))
+    )
+    with pytest.raises(TheoremViolationError):
+        simulate_splitting_tower(cfg, (1,))
+
+    path = write(tmp_path, "tower.json", klein_tower([1]))
+    code, body, _ = run_cli(capsys, ["split-sim", path])
+    assert code == 2
+    assert body["error"]["code"] == "THEOREM_VIOLATION"
