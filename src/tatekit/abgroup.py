@@ -10,11 +10,10 @@ order; factors equal to 1 are dropped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import CoordinateLengthError, DomainError, MembershipError
+from .errors import CoordinateLengthError, DomainError, Frozen, MembershipError
 from .matrices import (
     IntMatrix,
     SmithForm,
@@ -50,22 +49,31 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
-    """Invariant-factor normal form: Z/d1 x ... x Z/dk x Z^free_rank."""
+class FinAbGroup(Frozen):
+    """Invariant-factor normal form: Z/d1 x ... x Z/dk x Z^free_rank.
 
-    invariant_factors: tuple[int, ...]
-    free_rank: int
+    Immutable; groups with the same invariants are equal and hash alike.
+    """
 
-    def __post_init__(self):
-        for d in self.invariant_factors:
+    def __init__(self, invariant_factors: tuple[int, ...], free_rank: int):
+        for d in invariant_factors:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "free_rank", free_rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.invariant_factors, self.free_rank) == (other.invariant_factors, other.free_rank)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.invariant_factors, self.free_rank))
 
     @property
     def ncoords(self) -> int:
@@ -113,13 +121,21 @@ class FinAbGroup:
             yield AbElement(self, tor)
 
 
-@dataclass(frozen=True)
-class AbElement:
-    group: FinAbGroup
-    coords: tuple[int, ...]
+class AbElement(Frozen):
+    """An element of ``group`` by its reduced coordinates; immutable, equal
+    to an element of the same group with the same coordinates."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", self.group.reduce(self.coords))
+    def __init__(self, group: FinAbGroup, coords):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", group.reduce(coords))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.coords) == (other.group, other.coords)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.coords))
 
     def __add__(self, other: "AbElement") -> "AbElement":
         if other.group != self.group:

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 from types import SimpleNamespace
 
 from . import __version__, serial
-from .errors import CoordinateLengthError, DomainError, SchemaError, TatekitError, TheoremViolationError
+from .errors import CoordinateLengthError, DomainError, Frozen, SchemaError, TatekitError, TheoremViolationError
 from .gmodule import coinvariants, tate_h0, tate_h_minus1, transfer
 from .local import (
     TameExtDescriptor,
@@ -40,10 +39,12 @@ from .tower import degree_exponents, simulate_splitting_tower, subgroup_bound_ch
 DEFAULT_PRECISION = 8
 
 
-@dataclass(frozen=True)
-class Job:
-    op: str
-    payload: dict
+class Job(Frozen):
+    """One operation and its JSON payload; immutable."""
+
+    def __init__(self, op: str, payload: dict):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "payload", payload)
 
 
 def _group_dict(group) -> dict:

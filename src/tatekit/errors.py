@@ -4,7 +4,25 @@ Every exception carries a stable ``code`` string so the command line layer
 can map failures to exit codes without string matching: domain errors
 (bad input, unsatisfiable request) exit with 1, violations of facts the
 library treats as theorems exit with 2.
+
+``Frozen``, the base of the package's immutable value types, lives here
+because every module imports this one.
 """
+
+
+class Frozen:
+    """Refuses assignment and deletion of attributes with AttributeError.
+
+    Subclasses write their fields once, in ``__init__``, through
+    ``object.__setattr__``; ``functools.cached_property`` still fills its
+    slot, since it writes the instance ``__dict__`` directly.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class TatekitError(Exception):

@@ -16,11 +16,10 @@ computed exactly through the lattice presentations in :mod:`tatekit.abgroup`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .abgroup import AbElement, InducedMap, LatticeQuotient, cokernel
-from .errors import SubgroupMismatchError
+from .errors import Frozen, SubgroupMismatchError
 from .matrices import IntMatrix, block_diagonal, hnf_basis, kernel_basis
 
 __all__ = [
@@ -57,14 +56,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    """A finite group as a full multiplication table over indices 0..order-1."""
+class FiniteGroup(Frozen):
+    """A finite group as a full multiplication table over indices 0..order-1.
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverses: tuple[int, ...]
+    Immutable; groups with the same table, identity and inverses are equal
+    and hash alike.
+    """
+
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], identity: int, inverses: tuple[int, ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverses", inverses)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.order, self.table, self.identity, self.inverses) == (
+                other.order, other.table, other.identity, other.inverses
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.order, self.table, self.identity, self.inverses))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -262,20 +275,37 @@ def from_permutations(perms) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     return FiniteGroup(len(elements), table, 0, inverses), elements
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Frozen):
     """Subgroup given by its sorted member indices plus coset transversals.
 
     ``left_reps`` satisfy parent = union of r * H (used for coset spaces of
     places); ``right_reps`` satisfy parent = union of H * r (used by the
     transfer sum, which is only well defined over a right transversal).
-    For abelian parents the two lists coincide.
+    For abelian parents the two lists coincide.  Immutable; equality and
+    hash read all four fields.
     """
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
-    left_reps: tuple[int, ...]
-    right_reps: tuple[int, ...]
+    def __init__(
+        self,
+        parent: FiniteGroup,
+        members: tuple[int, ...],
+        left_reps: tuple[int, ...],
+        right_reps: tuple[int, ...],
+    ):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "left_reps", left_reps)
+        object.__setattr__(self, "right_reps", right_reps)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parent, self.members, self.left_reps, self.right_reps) == (
+                other.parent, other.members, other.left_reps, other.right_reps
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parent, self.members, self.left_reps, self.right_reps))
 
     @property
     def order(self) -> int:
@@ -371,32 +401,30 @@ def quotient_group(parent: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, 
     return q, tuple(proj)
 
 
-@dataclass(frozen=True)
-class PermAction:
-    """Action of a finite group on points 0..degree-1, table of images."""
+class PermAction(Frozen):
+    """Action of a finite group on points 0..degree-1, table of images; immutable."""
 
-    group: FiniteGroup
-    degree: int
-    images: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        g = self.group
-        if len(self.images) != g.order or any(len(p) != self.degree for p in self.images):
+    def __init__(self, group: FiniteGroup, degree: int, images: tuple[tuple[int, ...], ...]):
+        g = group
+        if len(images) != g.order or any(len(p) != degree for p in images):
             raise ValueError("permutation table has the wrong shape")
-        if self.images[g.identity] != tuple(range(self.degree)):
+        if images[g.identity] != tuple(range(degree)):
             raise ValueError("identity must act trivially")
-        for p in self.images:
-            if sorted(p) != list(range(self.degree)):
+        for p in images:
+            if sorted(p) != list(range(degree)):
                 raise ValueError("images must be permutations")
         # a(bx) = (ab)x for every generator b gives it for every b, by
         # induction on a word for b
         gens = g.generating_set()
         for a in g.elements():
-            pa = self.images[a]
+            pa = images[a]
             for s in gens:
-                ps, pas = self.images[s], self.images[g.mul(a, s)]
-                if any(pa[ps[x]] != pas[x] for x in range(self.degree)):
+                ps, pas = images[s], images[g.mul(a, s)]
+                if any(pa[ps[x]] != pas[x] for x in range(degree)):
                     raise ValueError("not a group action")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "images", images)
 
     def act(self, g: int, x: int) -> int:
         return self.images[g][x]
@@ -434,19 +462,28 @@ def disjoint_union_action(actions) -> PermAction:
     return PermAction(g, degree, tuple(images))
 
 
-@dataclass(frozen=True)
-class GModule:
+class GModule(Frozen):
     """Integer lattice with an action of a finite group, given on generators.
 
     ``gens`` holds the matrices of ``group.generating_set()``, in that order;
-    hash and equality read only them.  ``act(g)`` multiplies them out along
-    the Cayley graph, once per module.  Nothing here checks the action: build
-    modules from outside data with :func:`module_from_generators`.
+    hash and equality read only them, with the group and rank.  ``act(g)``
+    multiplies them out along the Cayley graph, once per module.  Nothing
+    here checks the action: build modules from outside data with
+    :func:`module_from_generators`.  Immutable.
     """
 
-    group: FiniteGroup
-    rank: int
-    gens: tuple[IntMatrix, ...]
+    def __init__(self, group: FiniteGroup, rank: int, gens: tuple[IntMatrix, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "gens", gens)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.rank, self.gens) == (other.group, other.rank, other.gens)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.rank, self.gens))
 
     def act(self, g: int) -> IntMatrix:
         return self._table[g]

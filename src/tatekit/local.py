@@ -11,13 +11,13 @@ and a uniformizer; they are manipulated here as an abstract enum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 from .errors import (
     BadResidueError,
     DomainError,
+    Frozen,
     OddDegreeError,
     TooLargeError,
     ZeroInputError,
@@ -187,13 +187,13 @@ def _least_irreducible(p: int, r: int) -> tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")
 
 
-@dataclass(frozen=True)
-class ResidueField:
-    """F_{p^r} with elements as coefficient tuples of length r."""
+class ResidueField(Frozen):
+    """F_{p^r} with elements as coefficient tuples of length r; immutable."""
 
-    p: int
-    r: int
-    modulus: tuple[int, ...]
+    def __init__(self, p: int, r: int, modulus: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def size(self) -> int:
@@ -275,16 +275,13 @@ def residue_field(p: int, r: int = 1) -> ResidueField:
 # -- truncated p-adic units ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncatedElement:
-    """Integer approximation of a p-adic number modulo p^precision."""
+class TruncatedElement(Frozen):
+    """Integer approximation of a p-adic number modulo p^precision; immutable."""
 
-    p: int
-    precision: int
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p**self.precision)
+    def __init__(self, p: int, precision: int, value: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "value", value % p**precision)
 
     @property
     def modulus(self) -> int:
@@ -374,18 +371,19 @@ def is_square_in_extension(field: ResidueField, a, f: int) -> bool:
     return field.pow(a, e) == field.one()
 
 
-@dataclass(frozen=True)
-class TameExtDescriptor:
+class TameExtDescriptor(Frozen):
     """Shape of a local field extension E/K: residue degree f, ramification
     index e, wild part exponent (must be zero here), and the residue of the
     unit alpha for which E's ramified layer is generated by an e-th root of
     alpha times a uniformizer.  ``alpha`` is a residue of the base field.
+    Immutable.
     """
 
-    f: int
-    e: int
-    alpha: tuple[int, ...] | int = 1
-    wild_exponent: int = 0
+    def __init__(self, f: int, e: int, alpha: tuple[int, ...] | int = 1, wild_exponent: int = 0):
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "wild_exponent", wild_exponent)
 
 
 def quadratic_subextension(desc: TameExtDescriptor, field: ResidueField) -> SquareClass:

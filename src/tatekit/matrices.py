@@ -12,11 +12,10 @@ nonnegative with each entry dividing the next.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
-from .errors import MembershipError
+from .errors import Frozen, MembershipError
 
 __all__ = [
     "IntMatrix",
@@ -30,28 +29,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix with row-major entries."""
+class IntMatrix(Frozen):
+    """Immutable integer matrix with row-major entries; matrices of equal
+    shape and entries are equal and hash alike."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count does not match entries")
-        if not all(map(self.cols.__eq__, map(len, self.entries))):
+        if not all(map(cols.__eq__, map(len, entries))):
             raise ValueError("column count does not match entries")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        # the dataclass's hash, once: lru caches keyed by modules rehash on each lookup
+        # the hash of the field tuple, once: lru caches keyed by modules rehash on each lookup
         return hash((self.rows, self.cols, self.entries))
 
     @staticmethod
@@ -151,9 +154,8 @@ def block_diagonal(mats) -> IntMatrix:
     return IntMatrix(total_r, total_c, tuple(map(tuple, data)))
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Decomposition u @ a @ v == s with u, v unimodular.
+class SmithForm(Frozen):
+    """Decomposition u @ a @ v == s with u, v unimodular; immutable.
 
     The inverses of the transforms are tracked during elimination so that
     lattice computations (saturation, lifts) never need a separate matrix
@@ -161,11 +163,12 @@ class SmithForm:
     and is an empty 0 x 0 matrix here (see ``smith_normal_form``).
     """
 
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+    def __init__(self, u: IntMatrix, s: IntMatrix, v: IntMatrix, u_inv: IntMatrix, v_inv: IntMatrix):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u_inv", u_inv)
+        object.__setattr__(self, "v_inv", v_inv)
 
     @property
     def diagonal(self) -> tuple[int, ...]:

@@ -10,11 +10,10 @@ hypothetical splitting degrees 2d (d odd) is replayed branch by branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .abgroup import AbElement, element_order
-from .errors import BadResidueError, TheoremViolationError
+from .errors import BadResidueError, Frozen, TheoremViolationError
 from .gmodule import (
     GModule,
     Subgroup,
@@ -58,12 +57,12 @@ QUADRATIC_LAYER_RULE = (
 h1_local = torsion_coinvariants
 
 
-@dataclass(frozen=True)
-class LocalTorusClass:
-    """A torsion coinvariant class of a cocharacter module."""
+class LocalTorusClass(Frozen):
+    """A torsion coinvariant class of a cocharacter module; immutable."""
 
-    module: GModule
-    cls: AbElement
+    def __init__(self, module: GModule, cls: AbElement):
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "cls", cls)
 
 
 def local_torus_class(module: GModule, coords) -> LocalTorusClass:
@@ -103,35 +102,58 @@ def counterexample_torus() -> GModule:
     return direct_sum_modules([m, m, m])
 
 
-@dataclass(frozen=True)
-class BranchWitness:
-    """Outcome of one branch of the splitting-degree case analysis.
+class BranchWitness(Frozen):
+    """Outcome of one branch of the splitting-degree case analysis; immutable.
 
     Each branch corresponds to one nontrivial square class, hence to one
     quadratic extension the hypothetical splitting field could contain.
     """
 
-    square_class: SquareClass
-    valuation: int
-    unit_residue: tuple[int, ...]
-    restriction_nonzero: bool
-    transfer_vector: tuple[int, ...]
-    restriction_order: int
-    splits_over_quartic: bool
-    conclusion: str
+    def __init__(
+        self,
+        square_class: SquareClass,
+        valuation: int,
+        unit_residue: tuple[int, ...],
+        restriction_nonzero: bool,
+        transfer_vector: tuple[int, ...],
+        restriction_order: int,
+        splits_over_quartic: bool,
+        conclusion: str,
+    ):
+        object.__setattr__(self, "square_class", square_class)
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "unit_residue", unit_residue)
+        object.__setattr__(self, "restriction_nonzero", restriction_nonzero)
+        object.__setattr__(self, "transfer_vector", transfer_vector)
+        object.__setattr__(self, "restriction_order", restriction_order)
+        object.__setattr__(self, "splits_over_quartic", splits_over_quartic)
+        object.__setattr__(self, "conclusion", conclusion)
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    p: int
-    q: int
-    period: int
-    index_divisibility: int
-    component_orders: tuple[int, ...]
-    h1_invariant_factors: tuple[int, ...]
-    product_invariant_factors: tuple[int, ...]
-    branches: tuple[BranchWitness, ...]
-    imported_rules: tuple[str, ...]
+class CounterexampleReport(Frozen):
+    """What ``verify_counterexample_local`` certifies; immutable."""
+
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        period: int,
+        index_divisibility: int,
+        component_orders: tuple[int, ...],
+        h1_invariant_factors: tuple[int, ...],
+        product_invariant_factors: tuple[int, ...],
+        branches: tuple[BranchWitness, ...],
+        imported_rules: tuple[str, ...],
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "index_divisibility", index_divisibility)
+        object.__setattr__(self, "component_orders", component_orders)
+        object.__setattr__(self, "h1_invariant_factors", h1_invariant_factors)
+        object.__setattr__(self, "product_invariant_factors", product_invariant_factors)
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "imported_rules", imported_rules)
 
 
 def _branch_data(field: ResidueField) -> list[tuple[SquareClass, int, tuple[int, ...]]]:

@@ -9,7 +9,6 @@ payloads serialize to identical bytes and digests are stable.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from .errors import ParseError, SchemaError
 from .gmodule import (
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 
-def load_json(text: str) -> Any:
+def load_json(text: str) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

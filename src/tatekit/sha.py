@@ -14,11 +14,10 @@ kernel, and neither form builds a target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .abgroup import AbElement, InducedMap, LatticeQuotient, class_in, common_kernel
-from .errors import DomainError, HypothesisFailError, TheoremViolationError, UnknownPlaceError
+from .errors import DomainError, Frozen, HypothesisFailError, TheoremViolationError, UnknownPlaceError
 from .gmodule import (
     FiniteGroup,
     GModule,
@@ -53,29 +52,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PlaceDatum:
-    """A labeled place of the base field with a chosen decomposition subgroup."""
+class PlaceDatum(Frozen):
+    """A labeled place of the base field with a chosen decomposition subgroup.
 
-    label: str
-    decomposition: Subgroup
+    Immutable; equal label and subgroup make equal, hash-equal places.
+    """
+
+    def __init__(self, label: str, decomposition: Subgroup):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "decomposition", decomposition)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.label, self.decomposition) == (other.label, other.decomposition)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.label, self.decomposition))
 
 
-@dataclass(frozen=True)
-class GlobalData:
-    theta: FiniteGroup
-    module: GModule
-    places: tuple[PlaceDatum, ...]
+class GlobalData(Frozen):
+    """Theta, its module and the places; immutable, and a cache key, so
+    equality and hash read all three fields."""
 
-    def __post_init__(self):
-        if self.module.group != self.theta:
+    def __init__(self, theta: FiniteGroup, module: GModule, places: tuple[PlaceDatum, ...]):
+        if module.group != theta:
             raise DomainError("module must be an action of theta")
-        labels = [p.label for p in self.places]
+        labels = [p.label for p in places]
         if len(set(labels)) != len(labels):
             raise DomainError("place labels must be unique")
-        for p in self.places:
-            if p.decomposition.parent != self.theta:
+        for p in places:
+            if p.decomposition.parent != theta:
                 raise DomainError(f"decomposition group of {p.label} is not a subgroup of theta")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "places", places)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.theta, self.module, self.places) == (other.theta, other.module, other.places)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.theta, self.module, self.places))
 
     def place(self, label: str) -> PlaceDatum:
         for p in self.places:
@@ -84,22 +103,30 @@ class GlobalData:
         raise UnknownPlaceError(f"no place labeled {label!r}")
 
 
-@dataclass(frozen=True)
-class PlaceModule:
+class PlaceModule(Frozen):
     """M[S] with its degree-zero sublattice, over the fiber permutation action.
 
     ``fibers`` holds the coset action of each place, in place order; ``action``
     is their disjoint union.  ``points`` lists the fiber points as (place
     label, coset representative); point w carries the block of coordinates
-    [w*rank, (w+1)*rank).
+    [w*rank, (w+1)*rank).  Immutable.
     """
 
-    data: GlobalData
-    action: PermAction
-    fibers: tuple[PermAction, ...]
-    points: tuple[tuple[str, int], ...]
-    sub: GModule
-    basis: IntMatrix
+    def __init__(
+        self,
+        data: GlobalData,
+        action: PermAction,
+        fibers: tuple[PermAction, ...],
+        points: tuple[tuple[str, int], ...],
+        sub: GModule,
+        basis: IntMatrix,
+    ):
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "basis", basis)
 
     def fiber(self, label: str) -> tuple[int, ...]:
         return tuple(i for i, (lab, _) in enumerate(self.points) if lab == label)
@@ -121,15 +148,22 @@ def build_place_module(data: GlobalData) -> PlaceModule:
     return PlaceModule(data, action, tuple(fibers), tuple(points), sub, basis)
 
 
-@dataclass
 class ShaResult:
     """Kernel of a localization-style map out of (M[S]_0)_{Theta,Tors}."""
 
-    group_invariants: tuple[int, ...]
-    kernel: LatticeQuotient
-    domain: LatticeQuotient
-    generators: tuple[tuple[int, ...], ...]
-    place_module: PlaceModule
+    def __init__(
+        self,
+        group_invariants: tuple[int, ...],
+        kernel: LatticeQuotient,
+        domain: LatticeQuotient,
+        generators: tuple[tuple[int, ...], ...],
+        place_module: PlaceModule,
+    ):
+        self.group_invariants = group_invariants
+        self.kernel = kernel
+        self.domain = domain
+        self.generators = generators
+        self.place_module = place_module
 
     @property
     def order(self) -> int:
@@ -231,13 +265,22 @@ def sha1_shapiro(data: GlobalData) -> ShaResult:
 # -- obstruction to the existence of a global class ----------------------
 
 
-@dataclass
 class GlobalClassResult:
-    exists: bool
-    obstruction: AbElement
-    target_invariants: tuple[int, ...]
-    contributions: tuple[tuple[str, tuple[int, ...]], ...]
-    local_classes: tuple[tuple[str, tuple[int, ...]], ...]
+    """The verdict of ``tate_obstruction``, with the sum it read it from."""
+
+    def __init__(
+        self,
+        exists: bool,
+        obstruction: AbElement,
+        target_invariants: tuple[int, ...],
+        contributions: tuple[tuple[str, tuple[int, ...]], ...],
+        local_classes: tuple[tuple[str, tuple[int, ...]], ...],
+    ):
+        self.exists = exists
+        self.obstruction = obstruction
+        self.target_invariants = target_invariants
+        self.contributions = contributions
+        self.local_classes = local_classes
 
     @property
     def verdict(self) -> str:
@@ -275,7 +318,6 @@ def tate_obstruction(data: GlobalData, local_classes) -> GlobalClassResult:
 # -- pushforward along a tower level --------------------------------------
 
 
-@dataclass
 class PushforwardResult:
     """Certificate for the comparison map between two levels of place data.
 
@@ -285,15 +327,27 @@ class PushforwardResult:
     identity exactly on the certified instances.
     """
 
-    hypothesis_holds: bool
-    fixed_points: tuple[tuple[int, int | None], ...]
-    beta: InducedMap
-    section: InducedMap
-    beta_after_section_id: bool
-    section_after_beta_id: bool
-    orbit_count: int
-    source_invariants: tuple[int, ...]
-    target_invariants: tuple[int, ...]
+    def __init__(
+        self,
+        hypothesis_holds: bool,
+        fixed_points: tuple[tuple[int, int | None], ...],
+        beta: InducedMap,
+        section: InducedMap,
+        beta_after_section_id: bool,
+        section_after_beta_id: bool,
+        orbit_count: int,
+        source_invariants: tuple[int, ...],
+        target_invariants: tuple[int, ...],
+    ):
+        self.hypothesis_holds = hypothesis_holds
+        self.fixed_points = fixed_points
+        self.beta = beta
+        self.section = section
+        self.beta_after_section_id = beta_after_section_id
+        self.section_after_beta_id = section_after_beta_id
+        self.orbit_count = orbit_count
+        self.source_invariants = source_invariants
+        self.target_invariants = target_invariants
 
     @property
     def iso_certified(self) -> bool:

@@ -15,13 +15,13 @@ collapses the orbits of the cyclic factor onto the places below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .abgroup import InducedMap, class_in
 from .errors import (
     BoundViolationError,
     DomainError,
+    Frozen,
     NoDominatorError,
     NoPigeonholeError,
     TheoremViolationError,
@@ -98,13 +98,15 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     return [subgroup(group, sorted(m)) for m in ordered]
 
 
-@dataclass(frozen=True)
-class SubgroupBoundReport:
-    group_order: int
-    lam: int
-    subgroup_count: int
-    bound: int
-    holds: bool
+class SubgroupBoundReport(Frozen):
+    """sub(G) against |G|^lam for one group; immutable."""
+
+    def __init__(self, group_order: int, lam: int, subgroup_count: int, bound: int, holds: bool):
+        object.__setattr__(self, "group_order", group_order)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "subgroup_count", subgroup_count)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "holds", holds)
 
 
 def subgroup_bound_check(group: FiniteGroup) -> SubgroupBoundReport:
@@ -120,19 +122,20 @@ def subgroup_bound_check(group: FiniteGroup) -> SubgroupBoundReport:
     return report
 
 
-@dataclass(frozen=True)
-class ExponentTriple:
+class ExponentTriple(Frozen):
     """Exponents controlling the tower: length, and the total degree budget.
 
     ``d`` bounds the exponent of the splitting degree reachable through a
     tower of length ``rho + 1`` stacked on one quadratic and one auxiliary
     layer; ``lam`` is the generator bound floor(log2 theta_order).
+    Immutable.
     """
 
-    theta_order: int
-    lam: int
-    rho: int
-    d: int
+    def __init__(self, theta_order: int, lam: int, rho: int, d: int):
+        object.__setattr__(self, "theta_order", theta_order)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "d", d)
 
 
 def degree_exponents(theta_order: int) -> ExponentTriple:
@@ -155,7 +158,6 @@ def _conjugacy_class(group: FiniteGroup, members: frozenset) -> frozenset:
     return frozenset(group.conjugate(g, members) for g in group.elements())
 
 
-@dataclass
 class PlaceSelection:
     """A small set of places whose decomposition groups dominate all others.
 
@@ -165,13 +167,23 @@ class PlaceSelection:
     is asserted before returning.
     """
 
-    selected: tuple[str, ...]
-    certificate: tuple[tuple[str, str, int], ...]
-    maximal_class_count: int
-    present_class_count: int
-    all_class_count: int
-    subgroup_count: int
-    bound: int
+    def __init__(
+        self,
+        selected: tuple[str, ...],
+        certificate: tuple[tuple[str, str, int], ...],
+        maximal_class_count: int,
+        present_class_count: int,
+        all_class_count: int,
+        subgroup_count: int,
+        bound: int,
+    ):
+        self.selected = selected
+        self.certificate = certificate
+        self.maximal_class_count = maximal_class_count
+        self.present_class_count = present_class_count
+        self.all_class_count = all_class_count
+        self.subgroup_count = subgroup_count
+        self.bound = bound
 
 
 def select_dominating_places(data: GlobalData) -> PlaceSelection:
@@ -244,8 +256,7 @@ def select_dominating_places(data: GlobalData) -> PlaceSelection:
 # -- decomposition subgroups of Theta x Z/n^(r-1) --------------------------
 
 
-@dataclass(frozen=True)
-class ProductSubgroup:
+class ProductSubgroup(Frozen):
     """Subgroup of Theta x Z/n^(r-1) that never materializes the modulus.
 
     The subgroup is determined by its projection ``members_theta`` to Theta,
@@ -253,13 +264,16 @@ class ProductSubgroup:
     with 1 x Z/n^(r-1) is gcd(defect_gcd, n^(r-1)) * Z; ``defect_gcd == 0``
     encodes a trivial raw intersection), and one transversal value per
     projected element.  Images at a small modulus m dividing the top one are
-    then pure gcd arithmetic.
+    then pure gcd arithmetic.  Immutable.
     """
 
-    theta: FiniteGroup
-    members_theta: tuple[int, ...]
-    defect_gcd: int
-    values: tuple[int, ...]
+    def __init__(
+        self, theta: FiniteGroup, members_theta: tuple[int, ...], defect_gcd: int, values: tuple[int, ...]
+    ):
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "members_theta", members_theta)
+        object.__setattr__(self, "defect_gcd", defect_gcd)
+        object.__setattr__(self, "values", values)
 
     def step_at(self, m: int) -> int:
         """Step of the intersection of the image in Theta x Z/m with 1 x Z/m."""
@@ -316,33 +330,37 @@ def product_subgroup(theta: FiniteGroup, gens) -> ProductSubgroup:
 # -- tower configuration ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TowerConfig:
+class TowerConfig(Frozen):
     """Input data for the splitting-tower simulation.
 
     ``sigma`` assigns to every place of ``data`` the generators of its
     decomposition subgroup at the top level, as pairs (theta element, cyclic
     exponent).  The auxiliary place ``extra_label`` with decomposition
     1 x Z/n^(r-1) is adjoined internally; intermediate levels are derived by
-    reduction, never stored.
+    reduction, never stored.  Immutable.
     """
 
-    data: GlobalData
-    n: int
-    sigma: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]
-    extra_label: str = "w"
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(
+        self,
+        data: GlobalData,
+        n: int,
+        sigma: tuple[tuple[str, tuple[tuple[int, int], ...]], ...],
+        extra_label: str = "w",
+    ):
+        if n < 1:
             raise DomainError("tower degree must be positive")
-        if not self.data.places:
+        if not data.places:
             raise DomainError("at least one place is required")
-        labels = [label for label, _ in self.sigma]
-        expected = [p.label for p in self.data.places]
+        labels = [label for label, _ in sigma]
+        expected = [p.label for p in data.places]
         if sorted(labels) != sorted(expected) or len(set(labels)) != len(labels):
             raise DomainError("sigma assignments must cover each place exactly once")
-        if self.extra_label in set(expected):
+        if extra_label in set(expected):
             raise DomainError("auxiliary place label collides with an existing place")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "extra_label", extra_label)
 
 
 def default_tower_config(data: GlobalData, n: int, extra_label: str = "w") -> TowerConfig:
@@ -364,7 +382,6 @@ def default_tower_config(data: GlobalData, n: int, extra_label: str = "w") -> To
 # -- the simulation ---------------------------------------------------------
 
 
-@dataclass
 class SimulationReport:
     """Everything the tower run certifies, in one record.
 
@@ -375,24 +392,45 @@ class SimulationReport:
     exponent) pairs since the actual numbers can be astronomically large.
     """
 
-    theta_order: int
-    n: int
-    tower_length: int
-    chosen_s: int
-    cardinality_sequence: tuple[int, ...]
-    set_sizes: tuple[int, ...]
-    effective_exponent: int
-    effective_group_order: int
-    alpha1: tuple[int, ...]
-    alpha1_nonzero: bool
-    alpha_mid: tuple[int, ...]
-    alpha_top: tuple[int, ...]
-    transfer_vanished: bool
-    action_images_coincide: bool
-    mid_transfer_is_mult_n: bool
-    iso_certified: bool
-    splitting_degree: tuple[int, int]
-    bound: tuple[int, int]
+    def __init__(
+        self,
+        theta_order: int,
+        n: int,
+        tower_length: int,
+        chosen_s: int,
+        cardinality_sequence: tuple[int, ...],
+        set_sizes: tuple[int, ...],
+        effective_exponent: int,
+        effective_group_order: int,
+        alpha1: tuple[int, ...],
+        alpha1_nonzero: bool,
+        alpha_mid: tuple[int, ...],
+        alpha_top: tuple[int, ...],
+        transfer_vanished: bool,
+        action_images_coincide: bool,
+        mid_transfer_is_mult_n: bool,
+        iso_certified: bool,
+        splitting_degree: tuple[int, int],
+        bound: tuple[int, int],
+    ):
+        self.theta_order = theta_order
+        self.n = n
+        self.tower_length = tower_length
+        self.chosen_s = chosen_s
+        self.cardinality_sequence = cardinality_sequence
+        self.set_sizes = set_sizes
+        self.effective_exponent = effective_exponent
+        self.effective_group_order = effective_group_order
+        self.alpha1 = alpha1
+        self.alpha1_nonzero = alpha1_nonzero
+        self.alpha_mid = alpha_mid
+        self.alpha_top = alpha_top
+        self.transfer_vanished = transfer_vanished
+        self.action_images_coincide = action_images_coincide
+        self.mid_transfer_is_mult_n = mid_transfer_is_mult_n
+        self.iso_certified = iso_certified
+        self.splitting_degree = splitting_degree
+        self.bound = bound
 
     @property
     def alpha_trace(self) -> tuple[tuple[str, tuple[int, ...]], ...]:

@@ -1,6 +1,5 @@
 """Period/index certificates for the quartic local counterexample."""
 
-import dataclasses
 import importlib
 
 import pytest
@@ -9,6 +8,8 @@ from tatekit.errors import BadResidueError, TheoremViolationError
 from tatekit.gmodule import coinvariants, generated_subgroup, subgroup
 from tatekit.local import SquareClass
 from tatekit.periodindex import (
+    BranchWitness,
+    CounterexampleReport,
     counterexample_torus,
     h1_local,
     local_torus_class,
@@ -80,35 +81,48 @@ def test_validate_report_accepts_the_real_thing():
     validate_report(rep)  # must not raise
 
 
+REPORT_FIELDS = (
+    "p", "q", "period", "index_divisibility", "component_orders",
+    "h1_invariant_factors", "product_invariant_factors", "branches", "imported_rules",
+)
+BRANCH_FIELDS = (
+    "square_class", "valuation", "unit_residue", "restriction_nonzero",
+    "transfer_vector", "restriction_order", "splits_over_quartic", "conclusion",
+)
+
+
+def _rebuilt(cls, fields, old, changes):
+    """A new ``cls`` through its constructor: ``old``'s fields with ``changes``."""
+    assert set(changes) <= set(fields)
+    return cls(**{f: changes[f] if f in changes else getattr(old, f) for f in fields})
+
+
+def _report(r, **changes):
+    return _rebuilt(CounterexampleReport, REPORT_FIELDS, r, changes)
+
+
+def _branch(b, **changes):
+    return _rebuilt(BranchWitness, BRANCH_FIELDS, b, changes)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda r: dataclasses.replace(r, period=4),
-        lambda r: dataclasses.replace(r, period=3),
-        lambda r: dataclasses.replace(r, index_divisibility=2),
-        lambda r: dataclasses.replace(r, index_divisibility=8),
-        lambda r: dataclasses.replace(r, index_divisibility=1),
-        lambda r: dataclasses.replace(r, branches=r.branches[:2]),
-        lambda r: dataclasses.replace(r, branches=r.branches + r.branches[:1]),
-        lambda r: dataclasses.replace(
-            r,
-            branches=(dataclasses.replace(r.branches[0], restriction_nonzero=False),)
-            + r.branches[1:],
-        ),
-        lambda r: dataclasses.replace(
-            r,
-            branches=(dataclasses.replace(r.branches[0], splits_over_quartic=False),)
-            + r.branches[1:],
-        ),
-        lambda r: dataclasses.replace(
-            r,
-            branches=(dataclasses.replace(r.branches[0], restriction_order=3),)
-            + r.branches[1:],
-        ),
+        lambda r: _report(r, period=4),
+        lambda r: _report(r, period=3),
+        lambda r: _report(r, index_divisibility=2),
+        lambda r: _report(r, index_divisibility=8),
+        lambda r: _report(r, index_divisibility=1),
+        lambda r: _report(r, branches=r.branches[:2]),
+        lambda r: _report(r, branches=r.branches + r.branches[:1]),
+        lambda r: _report(r, branches=(_branch(r.branches[0], restriction_nonzero=False),) + r.branches[1:]),
+        lambda r: _report(r, branches=(_branch(r.branches[0], splits_over_quartic=False),) + r.branches[1:]),
+        lambda r: _report(r, branches=(_branch(r.branches[0], restriction_order=3),) + r.branches[1:]),
     ],
 )
 def test_validate_report_rejects_mutations(mutate):
     rep = verify_counterexample_local(5)
+    validate_report(_report(rep, branches=tuple(_branch(b) for b in rep.branches)))  # the rebuild alone passes
     with pytest.raises(TheoremViolationError):
         validate_report(mutate(rep))
 

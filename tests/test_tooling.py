@@ -9,6 +9,7 @@ import hashlib
 import importlib
 import importlib.util
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -109,3 +110,59 @@ def test_the_readme_scripts_print_what_they_printed(argv, digest):
     )
     assert run.returncode == 0, run.stderr.decode()
     assert hashlib.sha256(run.stdout).hexdigest() == digest
+
+
+# stdlib modules that only introspection and code generation need; the CLI
+# loads none of them, at import or while it runs a job
+INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def _one_payload_per_op() -> dict:
+    from test_cli import klein_scenario, klein_tower, mul_table, quarter_classes
+
+    from tatekit.gmodule import cyclic, klein_four
+
+    quarter = {
+        "group": {"mul_table": mul_table(cyclic(4))},
+        "module": {"rank": 2, "generators": [{"element_index": 1, "matrix": [[0, -1], [1, 0]]}]},
+    }
+    return {
+        "snf": {"matrix": [[2, 4], [6, 8]]},
+        "tate": quarter,
+        "transfer": {**quarter, "subgroup_members": [0, 2], "class": ["1"]},
+        "counterexample-local": {"p": 5},
+        "teichmuller": {"p": 5, "alpha": 2},
+        "quad-sub": {"p": 5, "f": 1, "e": 2, "alpha": 2},
+        "sha1": {"scenario": klein_scenario()},
+        "tate-obstruction": quarter_classes({"v": [1]}),
+        "subgroup-bound": {"group": {"mul_table": mul_table(klein_four())}},
+        "exponents": {"theta_order": 4},
+        "split-sim": klein_tower([1]),
+    }
+
+
+def test_the_cli_loads_no_introspection_module_at_import_or_in_a_job(tmp_path):
+    payloads = _one_payload_per_op()
+    assert set(payloads) == set(tatekit.cli._HANDLERS)
+    argvs = []
+    for op, payload in payloads.items():
+        src = tmp_path / f"{op}.json"
+        src.write_text(json.dumps(payload))
+        argvs.append([op, str(src), "--out", str(tmp_path / f"{op}.out.json")])
+    program = (
+        "import json, sys\n"
+        f"watched = set({INTROSPECTION_MODULES!r})\n"
+        "before = set(sys.modules)\n"
+        "from tatekit import cli\n"
+        "at_import = sorted((set(sys.modules) - before) & watched)\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "after_jobs = sorted((set(sys.modules) - before) & watched)\n"
+        "print(json.dumps([at_import, after_jobs, codes]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-B", "-c", program], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    at_import, after_jobs, codes = json.loads(run.stdout)
+    assert codes == [0] * len(argvs)
+    assert at_import == []
+    assert after_jobs == []
