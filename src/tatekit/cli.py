@@ -33,7 +33,7 @@ from .local import (
 )
 from .matrices import smith_normal_form
 from .periodindex import verify_counterexample_local
-from .sha import sha1_S, sha1_shapiro, tate_obstruction
+from .sha import sha1_forms, tate_obstruction
 from .tower import degree_exponents, simulate_splitting_tower, subgroup_bound_check
 
 DEFAULT_PRECISION = 8
@@ -221,8 +221,7 @@ def _op_quad_sub(payload: dict):
 
 def _op_sha1(payload: dict):
     data, _ = serial.load_scenario(payload.get("scenario"), "input.scenario")
-    by_inclusion = sha1_S(data)
-    by_local = sha1_shapiro(data)
+    by_inclusion, by_local, agree = sha1_forms(data)
     result = {
         "s_form": {
             "invariant_factors": list(by_inclusion.group_invariants),
@@ -234,9 +233,9 @@ def _op_sha1(payload: dict):
             "order": by_local.order,
             "generators": [list(v) for v in by_local.generators],
         },
-        "agree": by_inclusion.group_invariants == by_local.group_invariants,
+        "agree": agree,
     }
-    return result, ["build_place_module", "sha1_S", "sha1_shapiro"]
+    return result, ["sha1_cone", "sha1_homology"]
 
 
 def _op_obstruction(payload: dict):

@@ -342,12 +342,22 @@ class Subgroup(Frozen):
 
     def as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         """The subgroup as its own FiniteGroup, plus member list in index order."""
+        return self._as_group
+
+    @cached_property
+    def _as_group(self) -> tuple[FiniteGroup, tuple[int, ...]]:
         pos = {g: i for i, g in enumerate(self.members)}
         table = tuple(
             tuple(pos[self.parent.mul(a, b)] for b in self.members) for a in self.members
         )
         inv = tuple(pos[self.parent.inv(g)] for g in self.members)
         return FiniteGroup(len(self.members), table, pos[self.parent.identity], inv), self.members
+
+    def generating_set(self) -> tuple[int, ...]:
+        """The members that ``as_group()``'s generating set names, as elements
+        of the parent: greedy over the members in index order."""
+        group, members = self._as_group
+        return tuple(members[s] for s in group.generating_set())
 
     def is_normal(self) -> bool:
         p = self.parent
@@ -561,8 +571,7 @@ def augmentation_kernel_module(group: FiniteGroup) -> GModule:
 def restrict_module(module: GModule, sub: Subgroup) -> GModule:
     if sub.parent != module.group:
         raise SubgroupMismatchError("subgroup belongs to a different group")
-    g, members = sub.as_group()
-    return GModule(g, module.rank, tuple(module.act(members[s]) for s in g.generating_set()))
+    return GModule(sub.as_group()[0], module.rank, tuple(map(module.act, sub.generating_set())))
 
 
 def pullback_module(module: GModule, group: FiniteGroup, hom) -> GModule:
@@ -602,6 +611,7 @@ def permutation_module(action: PermAction, coeff: GModule) -> GModule:
     return GModule(coeff.group, n, tuple(mats))
 
 
+@lru_cache(maxsize=128)
 def degree_zero_submodule(action: PermAction, coeff: GModule) -> tuple[GModule, IntMatrix]:
     """Kernel of the total coefficient-sum map on a permutation module.
 
@@ -609,7 +619,9 @@ def degree_zero_submodule(action: PermAction, coeff: GModule) -> tuple[GModule, 
     module of :func:`permutation_module`, which is not built).  Basis vectors
     are e_(w,i) - e_(last,i) for every point w except the last, so the basis
     matrix is written as identity rows, then the last point's rows: its row i
-    is -1 at coefficient i of every other point.
+    is -1 at coefficient i of every other point.  Cached: an action is its
+    own key (it has no value equality), so a caller that holds the action of
+    a ``build_place_module`` gets that module's submodule back.
     """
     if action.group != coeff.group:
         raise ValueError("action and coefficients must share the group")

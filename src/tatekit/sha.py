@@ -3,26 +3,44 @@
 A global scenario is a finite group Theta acting on a lattice, plus a list
 of labeled places, each carrying a decomposition subgroup.  The places above
 a base place form the coset space Theta / Theta_v; summing over places gives
-the permutation-tensor module M[S], its degree-zero part M[S]_0, and the two
-kernel descriptions implemented here: the inclusion form (degree-zero classes
-dying in the full module) and the localization form (classes dying in every
-local group M_{Theta_v}).  Both take one ``common_kernel`` out of one domain,
-(M[S]_0)_{Theta,Tors} on a generator g per invariant factor d with relation
-d*g, and differ only in their targets.  When that domain is 0 it is its own
-kernel, and neither form builds a target.
+the permutation-tensor module M[S], its degree-zero part M[S]_0, and two
+kernel descriptions: the inclusion form (degree-zero classes dying in the
+full module) and the localization form (classes dying in every local group
+M_{Theta_v}).
+
+Each is computed twice.  ``sha1_S`` and ``sha1_shapiro`` build M[S]_0 and
+take one ``common_kernel`` out of one domain, (M[S]_0)_{Theta,Tors} on a
+generator g per invariant factor d with relation d*g; they differ only in
+their targets, and when that domain is 0 neither builds a target.  They are
+the reference, and the splitting tower reads ``sha1_S``.  ``sha1_homology``
+and ``sha1_cone``, which the ``sha1`` op reads through ``sha1_forms``, build
+neither M[S] nor M[S]_0 and share no domain: the inclusion form is a
+cokernel of corestriction on group homology, and the localization form a
+kernel out of the cone of corestriction, both over one Cayley complex of
+Theta.  Their generators are carried back to the degree-zero basis of
+M[S]_0, and ``sha1_forms`` checks that the two are the same subgroup.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property, lru_cache
 
-from .abgroup import AbElement, InducedMap, LatticeQuotient, class_in, common_kernel
-from .errors import DomainError, Frozen, HypothesisFailError, TheoremViolationError, UnknownPlaceError
+from .abgroup import AbElement, InducedMap, LatticeQuotient, class_in, cokernel, common_kernel
+from .errors import (
+    DomainError,
+    Frozen,
+    HypothesisFailError,
+    MembershipError,
+    TheoremViolationError,
+    UnknownPlaceError,
+)
 from .gmodule import (
     FiniteGroup,
     GModule,
     PermAction,
     Subgroup,
+    _cayley_walk,
     coinvariants,
     coset_action,
     degree_zero_map,
@@ -33,7 +51,7 @@ from .gmodule import (
     restrict_module,
     torsion_coinvariants,
 )
-from .matrices import IntMatrix
+from .matrices import IntMatrix, hnf_basis, kernel_basis, smith_normal_form
 
 __all__ = [
     "PlaceDatum",
@@ -43,6 +61,9 @@ __all__ = [
     "ShaResult",
     "sha1_S",
     "sha1_shapiro",
+    "sha1_homology",
+    "sha1_cone",
+    "sha1_forms",
     "local_torsion_quotient",
     "GlobalClassResult",
     "tate_obstruction",
@@ -149,7 +170,13 @@ def build_place_module(data: GlobalData) -> PlaceModule:
 
 
 class ShaResult:
-    """Kernel of a localization-style map out of (M[S]_0)_{Theta,Tors}."""
+    """Kernel of a localization-style map out of (M[S]_0)_{Theta,Tors}.
+
+    ``generators`` are lattice vectors on the degree-zero basis of M[S]_0,
+    whichever presentation ``kernel`` and ``domain`` come from.
+    ``place_module`` is None for the forms that never build M[S]
+    (``sha1_homology``, ``sha1_cone``).
+    """
 
     def __init__(
         self,
@@ -157,7 +184,7 @@ class ShaResult:
         kernel: LatticeQuotient,
         domain: LatticeQuotient,
         generators: tuple[tuple[int, ...], ...],
-        place_module: PlaceModule,
+        place_module: PlaceModule | None,
     ):
         self.group_invariants = group_invariants
         self.kernel = kernel
@@ -260,6 +287,289 @@ def sha1_shapiro(data: GlobalData) -> ShaResult:
             yield coinvariants(restrict_module(data.module, p.decomposition)), _shapiro_matrix(pm, p.label)
 
     return _sha_result(pm, components)
+
+
+# -- the same kernel without M[S]: group homology and the cone ---------------
+
+
+class _CayleyComplex:
+    """Degrees <= 2 of the free resolution of Z over Z[Theta] that the Cayley
+    graph of X = ``generating_set()`` gives, tensored with M (Brown, II.5).
+
+    A 1-chain lives in M^X, one slot of rank r per generator: the term
+    c*h*e_x (x) m is c*A(h^-1)*m in slot x.  ``paths[g]`` is the tree path
+    T_g from 1 to g, built along the walk's tree edges as T_b = T_a + a*e_x
+    for b = a*x, and kept tensored with a basis of M: the r|X| rows of the
+    block whose column j is T_g (x) e_j.  ``d1``, with blocks A(x^-1) - I,
+    is the boundary into M; ``b1`` holds the 1-boundaries, r columns per
+    non-tree edge (g, x, b): the cycle T_g + g*e_x - T_b, whose boundary is
+    g*x - b = 0.  ``inv[g]`` holds the rows of A(g^-1).
+    """
+
+    def __init__(self, module: GModule):
+        theta, r = module.group, module.rank
+        gens = theta.generating_set()
+        self.gens, self.rank, self.dim = gens, r, r * len(gens)
+        self.inv = [module.act(theta.inv(g)).entries for g in theta.elements()]
+        _, tree, others = _cayley_walk(theta.identity, gens, theta.mul)
+        paths = {theta.identity: ((0,) * r,) * self.dim}
+        for b, (a, i) in tree.items():
+            paths[b] = self._step(paths[a], a, i)
+        self.paths = paths
+        self.d1 = _side_by_side(r, [_minus_identity(self.inv[x]) for x in gens])
+        self.b1 = _side_by_side(
+            self.dim, [tuple(map(_sub, self._step(paths[g], g, i), paths[b])) for g, i, b in others]
+        )
+
+    def _step(self, path: tuple, a: int, i: int) -> tuple:
+        """The block of path + a*e_x for x the i-th generator."""
+        r = self.rank
+        rows = list(path)
+        rows[i * r : (i + 1) * r] = map(_add, rows[i * r : (i + 1) * r], self.inv[a])
+        return tuple(rows)
+
+
+@lru_cache(maxsize=32)
+def _cayley_complex(module: GModule) -> _CayleyComplex:
+    return _CayleyComplex(module)
+
+
+def _add(p: tuple, q: tuple) -> tuple:
+    return tuple(map(int.__add__, p, q))
+
+
+def _sub(p: tuple, q: tuple) -> tuple:
+    return tuple(map(int.__sub__, p, q))
+
+
+def _minus_identity(rows: tuple) -> tuple:
+    return tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(rows))
+
+
+def _side_by_side(nrows: int, blocks) -> IntMatrix:
+    """The matrix [B_1 | B_2 | ...] of blocks given by their nrows rows."""
+    blocks = list(blocks)
+    rows = tuple(tuple(itertools.chain.from_iterable(parts)) for parts in zip(*blocks)) if blocks else ((),) * nrows
+    return IntMatrix(nrows, sum(len(b[0]) for b in blocks) if nrows else 0, rows)
+
+
+def _corestriction(cx: _CayleyComplex, sub: Subgroup) -> IntMatrix:
+    """The image of Z_1(Theta_v, M) in Z_1(Theta, M): the cycles of the
+    subgroup's own complex, ``kernel_basis`` of [A(y^-1) - I]_y over its
+    generators y, with m in slot y sent to T_y (x) m."""
+    ys = sub.generating_set()
+    cycles = kernel_basis(_side_by_side(cx.rank, [_minus_identity(cx.inv[y]) for y in ys]))
+    return _side_by_side(cx.dim, [cx.paths[y] for y in ys]) @ cycles
+
+
+class _Points:
+    """Where Phi puts its terms: the fiber points of ``build_place_module``,
+    numbered from each place's coset index, without building the fibers.
+
+    ``home[v]`` is the point of fiber v whose coset is Theta_v itself, and
+    ``back[i]`` is x^-1 * w0 for the i-th generator x, where w0 is point 0.
+    """
+
+    def __init__(self, data: GlobalData):
+        theta, subs = data.theta, [p.decomposition for p in data.places]
+        offsets = list(itertools.accumulate((h.index for h in subs), initial=0))
+        self.degree = offsets[-1]
+        self.home = [off + h._coset_index[theta.identity] for off, h in zip(offsets, subs)]
+        first = subs[0]
+        rep = first.left_reps[0]
+        self.back = [first._coset_index[theta.mul(theta.inv(x), rep)] for x in theta.generating_set()]
+
+
+def _to_degree_zero(cx: _CayleyComplex, pts: _Points, a, b) -> tuple[int, ...]:
+    """Phi(a, b): a cone 1-cycle, a_v in M per place (none: all zero) and
+    b in M^X with sum_v a_v + d1 b = 0, carried to M[S]_0 on its
+    degree-zero basis.
+
+    Phi(a, b) = sum_v a_v at home[v] + sum_x (A(x^-1) b_x at x^-1 * w0 -
+    b_x at w0): Shapiro's lemma on the places, and on b the boundary of its
+    lift through m -> m at w0, the connecting map of 0 -> M[S]_0 -> M[S]
+    -> M -> 0.  The total has degree zero, so its first (deg - 1) * r
+    entries are its coordinates.
+    """
+    r = cx.rank
+    vec = [0] * (pts.degree * r)
+
+    def put(w, m):
+        vec[w * r : (w + 1) * r] = map(int.__add__, vec[w * r : (w + 1) * r], m)
+
+    for w, av in zip(pts.home, a):
+        put(w, av)
+    for i, x in enumerate(cx.gens):
+        bx = b[i * r : (i + 1) * r]
+        put(pts.back[i], (sum(map(int.__mul__, row, bx)) for row in cx.inv[x]))
+        put(0, (-c for c in bx))
+    return tuple(vec[: (pts.degree - 1) * r])
+
+
+def _degree_zero_is_zero(data: GlobalData) -> bool:
+    """Whether M[S]_0, of rank (sum_v [Theta:Theta_v] - 1) r, is 0: no place,
+    a rank-0 module, or one place whose decomposition group is Theta.  Then
+    its coinvariants are 0, and so is the kernel."""
+    return (sum(p.decomposition.index for p in data.places) - 1) * data.module.rank <= 0
+
+
+def _trivial_result() -> ShaResult:
+    zero = cokernel(IntMatrix(0, 0, ()))
+    return ShaResult(group_invariants=(), kernel=zero, domain=zero, generators=(), place_module=None)
+
+
+def sha1_homology(data: GlobalData) -> ShaResult:
+    """The kernel of ``sha1_S``, up to isomorphism, from group homology.
+
+    The sequence 0 -> M[S]_0 -> M[S] -> M -> 0 and Shapiro's lemma make it
+    coker(sum_v H_1(Theta_v, M) -> H_1(Theta, M)), the map being
+    corestriction (Brown, III.5-III.9); the connecting map delta carries it
+    onto the kernel, and H_1 is finite, so that is all of it.  It is
+    presented as Z_1 / (B_1 + the corestricted cycles) in M^X, and
+    ``domain`` is that same quotient.  The generators are delta of its
+    generator cycles z, Phi(0, z), on the degree-zero basis.  Where M[S]_0
+    is 0 the kernel is 0, and nothing is built; that covers no place at
+    all, where M[S] -> M is not onto and the sequence does not apply.
+    """
+    if _degree_zero_is_zero(data):
+        return _trivial_result()
+    cx = _cayley_complex(data.module)
+    cor = [_corestriction(cx, p.decomposition) for p in data.places]
+    quotient = LatticeQuotient(cx.dim, kernel_basis(cx.d1), _side_by_side(cx.dim, [m.entries for m in [cx.b1, *cor]]))
+    pts = _Points(data)
+    return ShaResult(
+        group_invariants=quotient.group.invariant_factors,
+        kernel=quotient,
+        domain=quotient,
+        generators=tuple(_to_degree_zero(cx, pts, (), z) for z in quotient.generator_vectors()),
+        place_module=None,
+    )
+
+
+def _cone_domain(data: GlobalData, cx: _CayleyComplex) -> LatticeQuotient:
+    """H_1 of the cone of corestriction, which is (M[S]_0)_Theta.
+
+    The cone's 1-cycles are (a, b) in M^S + M^X with sum_v a_v + d1 b = 0
+    (Weibel, 1.5), free on (a_2, ..., a_s, b) since the condition fixes
+    a_1.  Its boundaries are spanned by (0, c) for c in B_1 and, for each
+    place v and generator y of Theta_v, by (-(A(y^-1) - I) m at a_v,
+    T_y (x) m), with the a_1 rows deleted.
+    """
+    r, rows_a = cx.rank, cx.rank * (len(data.places) - 1)
+    zero_a = (0,) * rows_a
+    columns = [zero_a + c for c in zip(*cx.b1.entries)]
+    for k, p in enumerate(data.places):
+        for y in p.decomposition.generating_set():
+            move = _minus_identity(cx.inv[y])
+            for j in range(r):
+                head = zero_a
+                if k:
+                    at = (k - 1) * r
+                    head = zero_a[:at] + tuple(-row[j] for row in move) + zero_a[at + r :]
+                columns.append(head + tuple(row[j] for row in cx.paths[y]))
+    n = rows_a + cx.dim
+    return cokernel(hnf_basis(IntMatrix(n, len(columns), tuple(zip(*columns)) if columns else ((),) * n)))
+
+
+def _cone_kernel(data: GlobalData, cx: _CayleyComplex, tors: LatticeQuotient) -> ShaResult:
+    """The classes of the cone domain's torsion ``tors`` whose every a_v dies
+    in M_{Theta_v}, the coinvariants at v (Shapiro in degree 0): a_v is read
+    off its rows, and a_1 = -sum_{v >= 2} a_v - d1 b.  A trivial ``tors``
+    is its own kernel, and no map out of it is built."""
+    ker, gens = tors, []
+    if not tors.group.is_trivial:
+        r, s = cx.rank, len(data.places)
+        rows_a = r * (s - 1)
+        n = rows_a + cx.dim
+        maps = []
+        for k, p in enumerate(data.places):
+            if k:
+                at = (k - 1) * r
+                rows = tuple((0,) * (at + i) + (1,) + (0,) * (n - at - i - 1) for i in range(r))
+            else:
+                rows = tuple(
+                    tuple(-1 if c % r == i else 0 for c in range(rows_a)) + tuple(-x for x in cx.d1.entries[i])
+                    for i in range(r)
+                )
+            target = coinvariants(restrict_module(data.module, p.decomposition))
+            maps.append(InducedMap(tors, target, IntMatrix(r, n, rows)))
+        ker = common_kernel(tors, maps)
+        pts = _Points(data)
+        for vec in ker.generator_vectors():
+            b = vec[rows_a:]
+            a = [vec[(k - 1) * r : k * r] for k in range(1, s)]
+            a_first = tuple(-x - sum(av[i] for av in a) for i, x in enumerate(cx.d1.mul_vec(b)))
+            gens.append(_to_degree_zero(cx, pts, [a_first, *a], b))
+    return ShaResult(
+        group_invariants=ker.group.invariant_factors,
+        kernel=ker,
+        domain=tors,
+        generators=tuple(gens),
+        place_module=None,
+    )
+
+
+def sha1_cone(data: GlobalData) -> ShaResult:
+    """The kernel of ``sha1_shapiro``, out of the cone of corestriction.
+
+    C_*(Theta, M[S]_0) is quasi-isomorphic to the shifted cone of
+    corestriction sum_v C_*(Theta_v, M) -> C_*(Theta, M), so its H_1 is
+    (M[S]_0)_Theta (``_cone_domain``), of rank r(|S| - 1 + |X|) where the
+    dense domain has (sum_v [Theta:Theta_v] - 1) r.  The kernel is the
+    classes every place sends to zero in M_{Theta_v}, taken out of the
+    torsion on one generator per invariant factor, as ``sha1_S`` takes it;
+    Phi carries its generators to the degree-zero basis of M[S]_0.  Where
+    M[S]_0 is 0 the kernel is 0, and nothing is built.
+    """
+    if _degree_zero_is_zero(data):
+        return _trivial_result()
+    cx = _cayley_complex(data.module)
+    return _cone_kernel(data, cx, _cone_domain(data, cx).torsion_on_generators())
+
+
+def _same_kernel(inclusion: ShaResult, localization: ShaResult, domain: LatticeQuotient) -> bool:
+    """Whether the homology kernel and the cone kernel are the same subgroup
+    of the cone ``domain``: equal invariants, and the classes of (0, z) for
+    the homology generator cycles z generate the cone kernel, which holds
+    when the Smith form of [their class coordinates | diag(d)] has only unit
+    factors.  Each (0, z) is moved onto the torsion generators, whose span
+    holds the kernel's lattice, through its class in ``domain``; a class
+    outside the cone kernel is a disagreement too."""
+    factors = localization.group_invariants
+    if inclusion.group_invariants != factors:
+        return False
+    ker, tors = localization.kernel, localization.domain
+    t = len(tors.group.invariant_factors)
+    pad = (0,) * (domain.ambient_rank - inclusion.kernel.ambient_rank)
+    try:
+        cols = [
+            ker.project(tors.basis.mul_vec(domain.project(pad + z).coords[:t])).coords
+            for z in inclusion.kernel.generator_vectors()
+        ]
+    except MembershipError:
+        return False
+    rows = tuple(
+        tuple(c[i] for c in cols) + (0,) * i + (d,) + (0,) * (len(factors) - 1 - i) for i, d in enumerate(factors)
+    )
+    sf = smith_normal_form(IntMatrix(len(factors), len(cols) + len(factors), rows), cols=False, inverses=False)
+    return sf.diagonal == (1,) * len(factors)
+
+
+def sha1_forms(data: GlobalData) -> tuple[ShaResult, ShaResult, bool]:
+    """Both descriptions of the kernel without M[S]: the inclusion form by
+    ``sha1_homology``, the localization form by ``sha1_cone``, and whether
+    they are the same subgroup.  The cone domain comes first: with no
+    torsion it makes both forms 0, and the homology is not built."""
+    if _degree_zero_is_zero(data):
+        zero = _trivial_result()
+        return zero, zero, True
+    cx = _cayley_complex(data.module)
+    domain = _cone_domain(data, cx)
+    localization = _cone_kernel(data, cx, domain.torsion_on_generators())
+    if localization.domain.group.is_trivial:
+        return localization, localization, True
+    inclusion = sha1_homology(data)
+    return inclusion, localization, _same_kernel(inclusion, localization, domain)
 
 
 # -- obstruction to the existence of a global class ----------------------

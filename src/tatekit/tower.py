@@ -371,8 +371,7 @@ def default_tower_config(data: GlobalData, n: int, extra_label: str = "w") -> To
     """
     sigma = []
     for p in data.places:
-        sub_as_group, members = p.decomposition.as_group()
-        gens = [members[i] for i in sub_as_group.generating_set()]
+        gens = list(p.decomposition.generating_set())
         if not gens:
             gens = [data.theta.identity]
         sigma.append((p.label, tuple((g, 1) for g in gens)))
@@ -538,8 +537,9 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
 
     # images of the two top level groups inside the effective one
     theta0 = subgroup(geff, sorted(t * e for t in theta.elements()))
+    # c * n_prev mod e has a period dividing e, so e values of c give them all
     prev_members = sorted(
-        {t * e + (c * n_prev) % e for t in theta.elements() for c in range(n)}
+        {t * e + (c * n_prev) % e for t in theta.elements() for c in range(min(n, e))}
     )
     mats_prev = {pm_s.sub.act(g) for g in prev_members}
     mats_top = {pm_s.sub.act(g) for g in theta0.members}

@@ -60,7 +60,7 @@ from tatekit.tower import (
 
 from conftest import group_corpus
 from test_cli import klein_scenario, run_cli, write
-from test_sha import klein_data, quarter_turn_data
+from test_sha import assert_the_forms_without_place_modules_match, klein_data, quarter_turn_data
 from test_tower import brute_force_subgroup_count
 
 
@@ -207,6 +207,32 @@ def test_criterion_06_both_kernel_descriptions_agree_on_sweep_and_random_instanc
         assert sha1_S(data).group_invariants == sha1_shapiro(data).group_invariants
         randomized += 1
     assert randomized == 200
+
+
+def _criterion_06_sweep():
+    """The exhaustive part of criterion 06: every multiset of <= 3
+    decomposition subgroups over the small modules of Z/2, Z/4 and V4."""
+    z2, z4, v4 = cyclic(2), cyclic(4), klein_four()
+    catalogs = [
+        (z2, [trivial_module(z2, 1), trivial_module(z2, 2)] + sign_characters(z2)),
+        (z4, [trivial_module(z4, 1), trivial_module(z4, 2), quarter_turn()] + sign_characters(z4)),
+        (v4, [trivial_module(v4, 1), trivial_module(v4, 2)] + sign_characters(v4)),
+    ]
+    for g, modules in catalogs:
+        subs = enumerate_subgroups(g)
+        for module in modules:
+            for k in (1, 2, 3):
+                for chosen in itertools.combinations_with_replacement(subs, k):
+                    yield GlobalData(g, module, tuple(PlaceDatum(f"p{i}", s) for i, s in enumerate(chosen)))
+
+
+def test_criterion_06_sweep_without_place_modules_gives_the_same_kernels():
+    # group homology and the cone of corestriction against both dense forms
+    count = 0
+    for data in _criterion_06_sweep():
+        assert_the_forms_without_place_modules_match(data)
+        count += 1
+    assert count == 378
 
 
 def test_criterion_07_collapse_iso_certified_and_counter_instance_fails():

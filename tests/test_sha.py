@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from tatekit import cli, serial, sha
+from tatekit import cli, gmodule, serial, sha
 from tatekit.abgroup import InducedMap, cokernel
 from tatekit.errors import CoordinateLengthError, DomainError, HypothesisFailError, UnknownPlaceError
 from tatekit.gmodule import (
@@ -27,7 +27,7 @@ from tatekit.gmodule import (
     torsion_coinvariants,
     trivial_module,
 )
-from tatekit.matrices import IntMatrix, block_diagonal
+from tatekit.matrices import IntMatrix, block_diagonal, hnf_basis
 from tatekit.sha import (
     GlobalData,
     PlaceDatum,
@@ -158,10 +158,11 @@ def _sha1_payload(data: GlobalData) -> dict:
 
 
 # sha256 of the 252 canonical sha1 results below, one line each, as emitted
-# since Smith forms take unit-vector rows as ready pivots (59 results moved
-# then, in their generators only); a change to any generator, sign or order
-# shows here
-SHA1_RESULTS_DIGEST = "4039455247264b79e2d54489f3232e276cc43c1f44a1ef5d1c5f86b576c92785"
+# since the op reads group homology and the cone of corestriction instead of
+# M[S]_0 (54 results moved then, in their generators only: the same kernels,
+# generated by delta and Phi images); a change to any generator, sign or
+# order shows here
+SHA1_RESULTS_DIGEST = "8e036912579b93e69cb4a3c97de3e5b4a4e5e870b61ffc3dd809c9b173a4d5a9"
 
 
 def test_sha1_report_bytes_are_pinned(corpus):
@@ -390,6 +391,132 @@ def test_both_descriptions_agree(data):
     )
     gd = GlobalData(g, module, places)
     assert sha1_S(gd).group_invariants == sha1_shapiro(gd).group_invariants
+
+
+# -- the two forms without M[S]: group homology and the cone ------------------
+
+
+def _subgroup_of(quotient, vecs):
+    """The subgroup of ``quotient``'s finite classes that vecs generate, as
+    the Hermite normal form of their torsion coordinates beside diag(d): one
+    lattice, so equal subgroups give equal matrices."""
+    factors = quotient.group.invariant_factors
+    t = len(factors)
+    cols = [quotient.project(v).coords for v in vecs]
+    assert all(not any(c[t:]) for c in cols)
+    rows = tuple(tuple(c[i] for c in cols) + (0,) * i + (d,) + (0,) * (t - 1 - i) for i, d in enumerate(factors))
+    return hnf_basis(IntMatrix(t, len(cols) + t, rows))
+
+
+def assert_the_forms_without_place_modules_match(data: GlobalData):
+    """``sha1_homology``, ``sha1_cone`` and ``sha1_forms`` against the dense
+    forms: the same invariants, ``agree``, and delta and Phi generators
+    that generate the same subgroup of (M[S]_0)_Theta as ``sha1_S``'s."""
+    dense = sha1_S(data)
+    want = dense.group_invariants
+    assert sha1_shapiro(data).group_invariants == want, data
+    inclusion, localization, agree = sha.sha1_forms(data)
+    homology, cone = sha.sha1_homology(data), sha.sha1_cone(data)
+    assert agree, data
+    for res in (inclusion, localization, homology, cone):
+        assert res.group_invariants == want and res.place_module is None, data
+    assert (inclusion.generators, localization.generators) == (homology.generators, cone.generators), data
+    whole = coinvariants(build_place_module(data).sub)
+    ref = _subgroup_of(whole, dense.generators)
+    for res in (homology, cone):
+        assert all(len(v) == whole.ambient_rank for v in res.generators), data
+        assert _subgroup_of(whole, res.generators) == ref, data
+
+
+def test_the_forms_without_place_modules_match_the_dense_forms(corpus):
+    scenarios = [klein_data(), quarter_turn_data(), *_small_scenarios(corpus)]
+    for data in scenarios:
+        assert_the_forms_without_place_modules_match(data)
+    assert len(scenarios) == 254
+
+
+def _one_and_a_cyclic_place(g):
+    return GlobalData(
+        g,
+        augmentation_kernel_module(g),
+        (PlaceDatum("one", subgroup(g, [g.identity])), PlaceDatum("gen", generated_subgroup(g, g.generating_set()[:1]))),
+    )
+
+
+def test_the_sha1_op_builds_no_place_module(corpus, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sha1 op built M[S] or M[S]_0")
+
+    scenarios = [klein_data(), _one_and_a_cyclic_place(corpus["Z4xZ4"])]
+    want = [list(sha1_S(data).group_invariants) for data in scenarios]
+    assert want == [[2], [4]]
+    with monkeypatch.context() as m:
+        for module in (sha, gmodule):
+            for name in ("build_place_module", "permutation_module", "degree_zero_submodule"):
+                if hasattr(module, name):
+                    m.setattr(module, name, refuse)
+        for data, factors in zip(scenarios, want):
+            result = cli.run_job(cli.Job("sha1", _sha1_payload(data)))["result"]
+            assert result["agree"] is True
+            assert result["s_form"]["invariant_factors"] == result["shapiro_form"]["invariant_factors"] == factors
+
+
+def test_dropping_a_places_corestriction_breaks_the_agreement(monkeypatch):
+    # V4 with places <g1> and V4: the full group's corestriction is onto, so
+    # without it the homology form keeps all of H_1(V4, M) = Z/2
+    v4 = klein_four()
+    full = full_subgroup(v4)
+    data = GlobalData(v4, augmentation_kernel_module(v4), (PlaceDatum("a", generated_subgroup(v4, [1])), PlaceDatum("b", full)))
+    inclusion, localization, agree = sha.sha1_forms(data)
+    assert agree and inclusion.group_invariants == localization.group_invariants == ()
+    real = sha._corestriction
+
+    def without_the_full_group(cx, sub):
+        m = real(cx, sub)
+        return m if sub != full else IntMatrix(m.rows, 0, ((),) * m.rows)
+
+    monkeypatch.setattr(sha, "_corestriction", without_the_full_group)
+    inclusion, localization, agree = sha.sha1_forms(data)
+    assert (inclusion.group_invariants, localization.group_invariants, agree) == ((2,), (), False)
+
+
+def test_the_agreement_compares_subgroups_not_only_invariants(corpus):
+    # a doctored homology form with the right invariants whose generators
+    # repeat its first one: it spans Z/2 of the kernel Z/2 x Z/2
+    g = corpus["Z2^3"]
+    data = GlobalData(g, trivial_module(g, 1), (PlaceDatum("v", generated_subgroup(g, [1])),))
+    inclusion, localization, agree = sha.sha1_forms(data)
+    assert agree and inclusion.group_invariants == (2, 2)
+    cycles = inclusion.kernel.generator_vectors()
+
+    class FirstCycleTwice:
+        ambient_rank = inclusion.kernel.ambient_rank
+
+        def generator_vectors(self):
+            return [cycles[0]] * len(cycles)
+
+    cx = sha._cayley_complex(data.module)
+    domain = sha._cone_domain(data, cx)
+    doctored = sha.ShaResult(inclusion.group_invariants, FirstCycleTwice(), None, (), None)
+    assert sha._same_kernel(inclusion, localization, domain)
+    assert not sha._same_kernel(doctored, localization, domain)
+
+
+def test_forms_without_place_modules_on_degenerate_data():
+    # M[S]_0 = 0: no place, a rank-0 module, one place with the whole group
+    v4, one = klein_four(), cyclic(1)
+    for data in (
+        GlobalData(v4, augmentation_kernel_module(v4), ()),
+        GlobalData(v4, trivial_module(v4, 0), (PlaceDatum("v", subgroup(v4, [0])), PlaceDatum("u", full_subgroup(v4)))),
+        GlobalData(v4, augmentation_kernel_module(v4), (PlaceDatum("v", full_subgroup(v4)),)),
+        GlobalData(one, trivial_module(one, 2), (PlaceDatum("v", full_subgroup(one)),)),
+    ):
+        inclusion, localization, agree = sha.sha1_forms(data)
+        assert agree and inclusion.order == localization.order == 1
+        assert inclusion.generators == localization.generators == ()
+        assert sha.sha1_homology(data).order == sha.sha1_cone(data).order == 1
+    three = GlobalData(one, trivial_module(one, 2), tuple(PlaceDatum(f"v{i}", full_subgroup(one)) for i in range(3)))
+    assert_the_forms_without_place_modules_match(three)  # no generator, a free cone domain
 
 
 # -- obstruction to gluing local classes --------------------------------------

@@ -1,10 +1,12 @@
 """Subgroup counting, degree exponents, place selection, and the tower run."""
 
 import itertools
+import signal
+import time
 
 import pytest
 
-from tatekit import cli, sha
+from tatekit import cli, gmodule, sha, tower
 from tatekit.errors import (
     CoordinateLengthError,
     DomainError,
@@ -422,6 +424,46 @@ def test_the_pushforward_orbits_are_the_base_places_in_order(data_factory, n):
     # numbering the orbits by their last points gives other matrices
     mutant = _last_point_first(pm_s.action, cyclic_factor.members, cfg.data.module.rank)
     assert mutant != (section, collapse)
+
+
+def test_a_tower_degree_of_any_size_answers_at_once(tmp_path, capsys):
+    # the top two levels' subgroups are read off e residues, not n of them
+    def too_slow(signum, frame):
+        raise TimeoutError("split-sim with n = 10^20 is still running")
+
+    payload = klein_tower([1])
+    payload["n"] = 10**20
+    path = write(tmp_path, "tower.json", payload)
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        start = time.perf_counter()
+        code, body, _ = run_cli(capsys, ["split-sim", path])
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0 and elapsed < 1.0
+    assert body["result"]["n"] == str(10**20) and body["result"]["effective_exponent"] == "2"
+
+
+def test_the_pushforward_reads_the_level_module_from_the_cache(monkeypatch):
+    # the level's M[S]_0 is built once, by build_place_module; the lemma's
+    # call for the same action is a hit, and only its lower level is built
+    seen = []
+
+    def spy(*args):
+        before = gmodule.degree_zero_submodule.cache_info()
+        result = lemma_pushforward(*args)
+        after = gmodule.degree_zero_submodule.cache_info()
+        seen.append((after.hits - before.hits, after.misses - before.misses))
+        return result
+
+    monkeypatch.setattr(tower, "lemma_pushforward", spy)
+    gmodule.degree_zero_submodule.cache_clear()
+    sha.build_place_module.cache_clear()
+    assert cli.run_job(cli.Job("split-sim", klein_tower([1])))["result"]["iso_certified"] is True
+    assert seen == [(1, 1)]
 
 
 # -- a failing comparison ------------------------------------------------------------
