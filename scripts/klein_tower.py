@@ -27,7 +27,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=2, help="exponent killing the class")
     ap.add_argument(
-        "--alpha", type=int, nargs="+", default=[1], help="starting class coordinates"
+        "--alpha", type=int, nargs="+", default=[1], help="starting class, in coordinates on the generators sha1 prints"
     )
     args = ap.parse_args()
 

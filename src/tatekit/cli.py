@@ -309,7 +309,7 @@ def _op_split_sim(payload: dict):
         "product_subgroup",
         "cardinality_scan",
         "build_place_module[level_s]",
-        "sha1_S",
+        "sha1_cone",
         "section/collapse certification",
         "sigma_power_sum",
         "transfer",

@@ -680,9 +680,7 @@ def coinvariants(module: GModule) -> LatticeQuotient:
     matrices, and presented by its Hermite normal form, so the quotient
     depends only on that lattice.
     """
-    r, moves = module.rank, _moves(module)
-    rows = tuple(map(tuple, map(itertools.chain.from_iterable, zip(*moves)))) if moves else ((),) * r
-    return cokernel(hnf_basis(IntMatrix(r, r * len(moves), rows)))
+    return cokernel(hnf_basis(_side_by_side(module.rank, [_minus_identity(a.entries) for a in module.gens])))
 
 
 @lru_cache(maxsize=256)
@@ -695,14 +693,20 @@ def invariants(module: GModule) -> IntMatrix:
     """Hermite normal form basis (as columns) of the fixed sublattice M^G:
     the kernel of the generators' A - I stacked one above the other, which
     is M^G because every element is a word in the generators."""
-    r, moves = module.rank, _moves(module)
+    r, moves = module.rank, [_minus_identity(a.entries) for a in module.gens]
     return kernel_basis(IntMatrix(r * len(moves), r, tuple(itertools.chain.from_iterable(moves))))
 
 
-def _moves(module: GModule) -> list[tuple[tuple[int, ...], ...]]:
-    """The rows of A - I for each generator's matrix A, each written from A's
-    row with its diagonal entry decremented."""
-    return [tuple(r[:i] + (r[i] - 1,) + r[i + 1 :] for i, r in enumerate(a.entries)) for a in module.gens]
+def _minus_identity(rows: tuple) -> tuple:
+    """The rows of A - I, written from A's ``rows`` by decrementing the diagonal."""
+    return tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(rows))
+
+
+def _side_by_side(nrows: int, blocks) -> IntMatrix:
+    """The matrix [B_1 | B_2 | ...] of blocks given by their nrows rows."""
+    blocks = list(blocks)
+    rows = tuple(tuple(itertools.chain.from_iterable(parts)) for parts in zip(*blocks)) if blocks else ((),) * nrows
+    return IntMatrix(nrows, sum(len(b[0]) for b in blocks) if nrows else 0, rows)
 
 
 def norm_matrix(module: GModule) -> IntMatrix:

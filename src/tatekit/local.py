@@ -356,8 +356,8 @@ def square_class(valuation: int, unit_residue, field: ResidueField) -> SquareCla
 def is_square_in_extension(field: ResidueField, a, f: int) -> bool:
     """Whether a base-field element becomes a square in the degree-f extension.
 
-    Uses a^((q^f - 1)/2) = a^(((q^f - 1)/2) mod (q - 1)), so no arithmetic in
-    the big field is needed.
+    Uses a^((q^f - 1)/2) = a^(((q^f - 1)/2) mod (q - 1)), half of (q^f - 1)
+    mod 2(q - 1): neither the big field nor q^f is formed, so f may be huge.
     """
     if f < 1:
         raise DomainError("extension degree must be positive")
@@ -367,7 +367,7 @@ def is_square_in_extension(field: ResidueField, a, f: int) -> bool:
     if field.p == 2:
         return True
     q = field.size
-    e = ((q**f - 1) // 2) % (q - 1)
+    e = (pow(q, f, 2 * (q - 1)) - 1) % (2 * (q - 1)) // 2
     return field.pow(a, e) == field.one()
 
 

@@ -212,6 +212,8 @@ def load_tower(obj, where: str = "input") -> tuple[TowerConfig, tuple[int, ...]]
     for i, entry in enumerate(expect_list(_get(obj, "sigma", where), f"{where}.sigma")):
         entry = expect_dict(entry, f"{where}.sigma[{i}]")
         label = _get(entry, "label", f"{where}.sigma[{i}]")
+        if not isinstance(label, str) or not label:
+            raise SchemaError(f"{where}.sigma[{i}].label: expected a non-empty string")
         gens = []
         for j, pair in enumerate(
             expect_list(_get(entry, "generators", f"{where}.sigma[{i}]"), f"{where}.sigma[{i}].generators")
@@ -244,8 +246,9 @@ def load_tower(obj, where: str = "input") -> tuple[TowerConfig, tuple[int, ...]]
 
 
 def encode(value):
-    """Recursively convert to JSON-safe data with stringified integers."""
-    if isinstance(value, bool):
+    """Recursively convert to JSON-safe data with stringified integers; a
+    float, which only a payload key that no op reads can hold, stays as is."""
+    if isinstance(value, (bool, float)):
         return value
     if isinstance(value, int):
         return str(value)

@@ -8,17 +8,17 @@ kernel descriptions: the inclusion form (degree-zero classes dying in the
 full module) and the localization form (classes dying in every local group
 M_{Theta_v}).
 
-Each is computed twice.  ``sha1_S`` and ``sha1_shapiro`` build M[S]_0 and
-take one ``common_kernel`` out of one domain, (M[S]_0)_{Theta,Tors} on a
-generator g per invariant factor d with relation d*g; they differ only in
-their targets, and when that domain is 0 neither builds a target.  They are
-the reference, and the splitting tower reads ``sha1_S``.  ``sha1_homology``
-and ``sha1_cone``, which the ``sha1`` op reads through ``sha1_forms``, build
-neither M[S] nor M[S]_0 and share no domain: the inclusion form is a
-cokernel of corestriction on group homology, and the localization form a
-kernel out of the cone of corestriction, both over one Cayley complex of
-Theta.  Their generators are carried back to the degree-zero basis of
-M[S]_0, and ``sha1_forms`` checks that the two are the same subgroup.
+Each is computed twice.  ``sha1_homology`` and ``sha1_cone`` build neither
+M[S] nor M[S]_0 and share no domain: the inclusion form is a cokernel of
+corestriction on group homology, and the localization form a kernel out of
+the cone of corestriction, both over one Cayley complex of Theta.  Their
+generators are carried back to the degree-zero basis of M[S]_0, and
+``sha1_forms`` checks that the two are the same subgroup.  The ``sha1`` op
+reads both, and the splitting tower names its classes on ``sha1_cone``'s
+generators.  ``sha1_S`` and ``sha1_shapiro``, which no op reads, are the
+dense reference: they build M[S]_0 and take one ``common_kernel`` out of
+(M[S]_0)_{Theta,Tors} on a generator g per invariant factor d with relation
+d*g, into different targets; when that domain is 0 neither builds a target.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .gmodule import (
     PermAction,
     Subgroup,
     _cayley_walk,
+    _minus_identity,
+    _side_by_side,
     coinvariants,
     coset_action,
     degree_zero_map,
@@ -174,8 +176,6 @@ class ShaResult:
 
     ``generators`` are lattice vectors on the degree-zero basis of M[S]_0,
     whichever presentation ``kernel`` and ``domain`` come from.
-    ``place_module`` is None for the forms that never build M[S]
-    (``sha1_homology``, ``sha1_cone``).
     """
 
     def __init__(
@@ -184,13 +184,11 @@ class ShaResult:
         kernel: LatticeQuotient,
         domain: LatticeQuotient,
         generators: tuple[tuple[int, ...], ...],
-        place_module: PlaceModule | None,
     ):
         self.group_invariants = group_invariants
         self.kernel = kernel
         self.domain = domain
         self.generators = generators
-        self.place_module = place_module
 
     @property
     def order(self) -> int:
@@ -222,7 +220,6 @@ def _sha_result(pm: PlaceModule, components) -> ShaResult:
         kernel=ker,
         domain=domain,
         generators=tuple(tuple(v) for v in ker.generator_vectors()),
-        place_module=pm,
     )
 
 
@@ -342,17 +339,6 @@ def _sub(p: tuple, q: tuple) -> tuple:
     return tuple(map(int.__sub__, p, q))
 
 
-def _minus_identity(rows: tuple) -> tuple:
-    return tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(rows))
-
-
-def _side_by_side(nrows: int, blocks) -> IntMatrix:
-    """The matrix [B_1 | B_2 | ...] of blocks given by their nrows rows."""
-    blocks = list(blocks)
-    rows = tuple(tuple(itertools.chain.from_iterable(parts)) for parts in zip(*blocks)) if blocks else ((),) * nrows
-    return IntMatrix(nrows, sum(len(b[0]) for b in blocks) if nrows else 0, rows)
-
-
 def _corestriction(cx: _CayleyComplex, sub: Subgroup) -> IntMatrix:
     """The image of Z_1(Theta_v, M) in Z_1(Theta, M): the cycles of the
     subgroup's own complex, ``kernel_basis`` of [A(y^-1) - I]_y over its
@@ -415,7 +401,7 @@ def _degree_zero_is_zero(data: GlobalData) -> bool:
 
 def _trivial_result() -> ShaResult:
     zero = cokernel(IntMatrix(0, 0, ()))
-    return ShaResult(group_invariants=(), kernel=zero, domain=zero, generators=(), place_module=None)
+    return ShaResult(group_invariants=(), kernel=zero, domain=zero, generators=())
 
 
 def sha1_homology(data: GlobalData) -> ShaResult:
@@ -442,7 +428,6 @@ def sha1_homology(data: GlobalData) -> ShaResult:
         kernel=quotient,
         domain=quotient,
         generators=tuple(_to_degree_zero(cx, pts, (), z) for z in quotient.generator_vectors()),
-        place_module=None,
     )
 
 
@@ -505,7 +490,6 @@ def _cone_kernel(data: GlobalData, cx: _CayleyComplex, tors: LatticeQuotient) ->
         kernel=ker,
         domain=tors,
         generators=tuple(gens),
-        place_module=None,
     )
 
 

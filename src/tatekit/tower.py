@@ -43,7 +43,7 @@ from .gmodule import (
     torsion_coinvariants,
 )
 from .matrices import IntMatrix
-from .sha import GlobalData, PlaceDatum, build_place_module, lemma_pushforward, sha1_S
+from .sha import GlobalData, PlaceDatum, build_place_module, lemma_pushforward, sha1_cone
 
 __all__ = [
     "MAX_ENUM_ORDER",
@@ -443,19 +443,21 @@ class SimulationReport:
 def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
     """Run the tower: find the pigeonhole level, transport alpha up, transfer down.
 
-    ``alpha`` is a class in the kernel group computed by :func:`sha1_S` on
-    ``cfg.data`` (an element of that group, or raw coordinates in it), killed
-    by ``cfg.n``.  The run certifies, in order: the cardinality scan stays in
-    its window and repeats at some level s <= r; collapsing the orbits of the
-    cyclic factor and its section are mutually inverse on the full
-    coinvariants (:func:`lemma_pushforward`, whose hypothesis holds because
-    the factor fixes every auxiliary point); the group action images at
-    levels s-1 and s coincide; the middle transfer is literally
-    multiplication by n on the nose; and the full transfer kills the
-    transported class, computed both directly and through the composition.
-    Violations of the certified statements raise TheoremViolationError
-    subclasses; bad inputs raise DomainError subclasses (coordinates of the
-    wrong length: CoordinateLengthError).
+    ``alpha`` is a class of the kernel of :func:`sha1_cone` on ``cfg.data``,
+    killed by ``cfg.n``: an element of that group, or its coordinates on the
+    generators the ``sha1`` op prints (``shapiro_form.generators``), naming
+    sum_i alpha_i * generators[i].  Only the place data of level s are built.
+    The run certifies, in order: the cardinality scan stays in its window and
+    repeats at some level s <= r; collapsing the orbits of the cyclic factor
+    and its section are mutually inverse on the full coinvariants
+    (:func:`lemma_pushforward`, whose hypothesis holds because the factor
+    fixes every auxiliary point); the group action images at levels s-1 and s
+    coincide; the middle transfer is literally multiplication by n on the
+    nose; and the full transfer kills the transported class, computed both
+    directly and through the composition.  Violations of the certified
+    statements raise TheoremViolationError subclasses; bad inputs raise
+    DomainError subclasses (coordinates of the wrong length:
+    CoordinateLengthError).
     """
     data, n = cfg.data, cfg.n
     theta = data.theta
@@ -519,7 +521,7 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
     data_s = GlobalData(geff, meff, tuple(eff_places))
     pm_s = build_place_module(data_s)
 
-    sha = sha1_S(data)
+    sha = sha1_cone(data)
     alpha_cls = class_in(sha.kernel.group, alpha, "alpha")
     if not (n * alpha_cls).is_zero():
         raise DomainError("class is not killed by the tower degree")
@@ -529,11 +531,13 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
     # are the base places in order, then the auxiliary points.
     ident = theta.identity * e
     comparison = lemma_pushforward(geff, subgroup(geff, range(ident, ident + e)), meff, pm_s.action)
-    # alpha, extended by zero onto the auxiliary points, then up by the section
+    # alpha on the degree-zero basis of M[S]_0 (sum_i alpha_i * generators[i]),
+    # extended by zero onto the auxiliary points, then up by the section
     eye = IntMatrix.identity(data.module.rank)
-    inc0 = degree_zero_map(range(len(sha.place_module.points)), comparison.orbit_count, eye)
+    inc0 = degree_zero_map(range(sum(p.decomposition.index for p in data.places)), comparison.orbit_count, eye)
+    lift = tuple(sum(c * g[i] for c, g in zip(alpha_cls.coords, sha.generators)) for i in range(inc0.cols))
     dom1 = torsion_coinvariants(pm_s.sub)
-    alpha1 = dom1.project(comparison.section.matrix.mul_vec(inc0.mul_vec(sha.kernel.lift(alpha_cls))))
+    alpha1 = dom1.project(comparison.section.matrix.mul_vec(inc0.mul_vec(lift)))
 
     # images of the two top level groups inside the effective one
     theta0 = subgroup(geff, sorted(t * e for t in theta.elements()))

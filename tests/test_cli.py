@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -330,6 +331,53 @@ def test_class_coordinates_of_the_wrong_length_are_a_schema_error(tmp_path, caps
     assert tower["result"]["alpha_trace"][0] == ["level_1", ["2"]]
     assert bad == {"op": op, "error": error}
     assert obstruction["result"]["verdict"] == "OBSTRUCTED"
+
+
+@pytest.mark.parametrize("label", [5, ["x"], None, ""])
+def test_a_sigma_label_that_is_no_string_is_a_schema_error(tmp_path, capsys, label):
+    error = {"code": "SCHEMA_ERROR", "message": "input.sigma[1].label: expected a non-empty string"}
+    payload = klein_tower([1])
+    payload["sigma"][1]["label"] = label
+    path = write(tmp_path, "in.json", payload)
+    code, body, _ = run_cli(capsys, ["split-sim", path])
+    assert code == 1
+    assert body["error"] == error
+    # in a batch, the good tower keeps its report
+    path = write(tmp_path, "batch.json", {"jobs": [
+        {"op": "split-sim", "input": klein_tower([1])},
+        {"op": "split-sim", "input": payload},
+    ]})
+    code, body, _ = run_cli(capsys, ["run", "--batch", path])
+    good, bad = body["reports"]
+    assert code == 1
+    assert good["result"]["alpha_trace"][0] == ["level_1", ["2"]]
+    assert bad == {"op": "split-sim", "error": error}
+
+
+def test_a_float_under_an_unread_key_still_gets_a_digest(tmp_path, capsys):
+    path = write(tmp_path, "in.json", {"theta_order": 4, "note": 1.5})
+    code, body, _ = run_cli(capsys, ["exponents", path])
+    assert code == 0
+    assert body["result"]["rho"] == "49" and len(body["input_digest"]) == 64
+
+
+def test_a_residue_degree_of_any_size_answers_at_once(tmp_path, capsys):
+    # alpha = 2 is a nonsquare mod 5 and stays one in every odd-degree extension
+    def too_slow(signum, frame):
+        raise TimeoutError("quad-sub with f = 10^40 + 1 is still running")
+
+    path = write(tmp_path, "q.json", {"p": 5, "f": 10**40 + 1, "e": 2, "alpha": 2})
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        started = time.perf_counter()
+        code, body, _ = run_cli(capsys, ["quad-sub", path])
+        elapsed = time.perf_counter() - started
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0 and elapsed < 1.0
+    assert body["result"]["square_class"] == "eps*pi"
 
 
 def test_bool_is_not_an_integer(tmp_path, capsys):

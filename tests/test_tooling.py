@@ -166,3 +166,35 @@ def test_the_cli_loads_no_introspection_module_at_import_or_in_a_job(tmp_path):
     assert codes == [0] * len(argvs)
     assert at_import == []
     assert after_jobs == []
+
+
+def test_no_op_runs_the_dense_forms(tmp_path, monkeypatch):
+    # sha1_S, sha1_shapiro and permutation_module are the reference for the
+    # tests and perfbench/record.py; with them raising, every op still runs,
+    # and split-sim builds the place data of its level s and no others
+    from tatekit import gmodule, sha, tower
+
+    def refuse(*args):
+        raise AssertionError("an op ran a dense Sha form")
+
+    for module in (sha, gmodule, tower):
+        for name in ("sha1_S", "sha1_shapiro", "permutation_module"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    built, real = [], sha.build_place_module
+
+    def spy(data):
+        built.append(data)
+        return real(data)
+
+    for module in (sha, tower):
+        monkeypatch.setattr(module, "build_place_module", spy)
+    reports = {}
+    for op, payload in _one_payload_per_op().items():
+        src, out = tmp_path / f"{op}.json", tmp_path / f"{op}.out.json"
+        src.write_text(json.dumps(payload))
+        assert tatekit.cli.main([op, str(src), "--out", str(out)]) == 0, out.read_text()
+        reports[op] = json.loads(out.read_text())["result"]
+    tower_result = reports["split-sim"]
+    assert [data.theta.order for data in built] == [int(tower_result["effective_group_order"])]
+    assert [p.label for p in built[0].places] == ["v1", "v2", "v3", "w"]

@@ -1,6 +1,7 @@
 """Subgroup counting, degree exponents, place selection, and the tower run."""
 
 import itertools
+import math
 import signal
 import time
 
@@ -25,6 +26,7 @@ from tatekit.gmodule import (
     klein_four,
     pullback_module,
     subgroup,
+    torsion_coinvariants,
     trivial_module,
 )
 from tatekit.matrices import IntMatrix
@@ -424,6 +426,59 @@ def test_the_pushforward_orbits_are_the_base_places_in_order(data_factory, n):
     # numbering the orbits by their last points gives other matrices
     mutant = _last_point_first(pm_s.action, cyclic_factor.members, cfg.data.module.rank)
     assert mutant != (section, collapse)
+
+
+def _alpha_corpus(corpus):
+    """Klein, and every group of order <= 8 with the trivial rank-1 module (the
+    augmentation kernel up to order 4) and one or two places from {1, <g1>,
+    Theta}, as (data, n) with n the exponent of a nontrivial kernel."""
+    cases = [klein_data()]
+    for g in (g for g in corpus.values() if g.order <= 8):
+        subs = {"one": subgroup(g, [g.identity]), "gen": generated_subgroup(g, g.generating_set()[:1]), "all": full_subgroup(g)}
+        modules = [trivial_module(g, 1)] + ([augmentation_kernel_module(g)] if g.order <= 4 else [])
+        for module in modules:
+            for k in (1, 2):
+                for labels in itertools.combinations(subs, k):
+                    cases.append(GlobalData(g, module, tuple(PlaceDatum(label, subs[label]) for label in labels)))
+    for data in cases:
+        factors = sha1_S(data).group_invariants
+        if factors:
+            yield data, math.lcm(*factors)
+
+
+def test_alpha_names_the_generators_the_sha1_op_prints(corpus):
+    # alpha = e_i transports generators[i] of the sha1 op's shapiro_form; its
+    # level_1 class is computed here on the dense route: M[S]_0 of the base
+    # level plus the auxiliary orbit, and the section built point by point
+    count = 0
+    for data, n in _alpha_corpus(corpus):
+        cfg = default_tower_config(data, n)
+        gens = sha.sha1_forms(data)[1].generators
+        eye = IntMatrix.identity(data.module.rank)
+        for i, g in enumerate(gens):
+            rep = simulate_splitting_tower(cfg, tuple(int(j == i) for j in range(len(gens))))
+            data_s = _level_data(cfg, rep.effective_exponent)
+            pm_f, section, _ = _point_by_point(cfg, data_s, rep.effective_exponent)
+            inc0 = degree_zero_map(range(len(build_place_module(data).points)), len(pm_f.points), eye)
+            want = torsion_coinvariants(build_place_module(data_s).sub).project(section.mul_vec(inc0.mul_vec(g)))
+            assert rep.alpha1 == want.coords, (data, i)
+            count += 1
+    assert count == 39
+
+
+def test_alpha_names_the_printed_generator_of_z3(tmp_path, capsys):
+    # Z3, the trivial rank-1 module, one place with trivial decomposition group
+    z3 = cyclic(3)
+    scenario = {
+        "theta": {"mul_table": [[z3.mul(a, b) for b in z3.elements()] for a in z3.elements()]},
+        "module": {"rank": 1, "generators": [{"element_index": 1, "matrix": [[1]]}]},
+        "places": [{"label": "v", "decomposition_members": [0]}],
+    }
+    code, body, _ = run_cli(capsys, ["sha1", write(tmp_path, "sha1.json", {"scenario": scenario})])
+    assert code == 0 and body["result"]["shapiro_form"]["generators"] == [["-1", "0"]]
+    tower_input = {"scenario": scenario, "n": 3, "sigma": [{"label": "v", "generators": [[0, 1]]}], "alpha": [1]}
+    code, body, _ = run_cli(capsys, ["split-sim", write(tmp_path, "tower.json", tower_input)])
+    assert code == 0 and body["result"]["alpha_trace"][0] == ["level_1", ["2"]]
 
 
 def test_a_tower_degree_of_any_size_answers_at_once(tmp_path, capsys):
