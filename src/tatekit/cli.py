@@ -97,12 +97,10 @@ def _op_tate(payload: dict):
 def _op_transfer(payload: dict):
     group, module = _load_group_module(payload)
     sub = serial.load_subgroup(group, payload.get("subgroup_members"), "input.subgroup_members")
-    coords = serial.expect_list(payload.get("class", []), "input.class")
+    coords = serial.parse_ints(payload.get("class", []), "input.class")
     co = coinvariants(module)
     try:
-        x = co.group.element(
-            tuple(serial.parse_int(c, f"input.class[{i}]") for i, c in enumerate(coords))
-        )
+        x = co.group.element(coords)
     except ValueError as exc:
         raise SchemaError(f"input.class: {exc}") from None
     image = transfer(module, sub, x)
@@ -203,9 +201,7 @@ def _op_quad_sub(payload: dict):
     e = serial.parse_int(payload.get("e"), "input.e")
     raw_alpha = payload.get("alpha", 1)
     if isinstance(raw_alpha, list):
-        alpha = tuple(
-            serial.parse_int(c, f"input.alpha[{i}]") for i, c in enumerate(raw_alpha)
-        )
+        alpha = serial.parse_ints(raw_alpha, "input.alpha")
     else:
         alpha = serial.parse_int(raw_alpha, "input.alpha")
     wild = serial.parse_int(payload.get("wild_exponent", 0), "input.wild_exponent")

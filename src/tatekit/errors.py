@@ -75,10 +75,6 @@ class UnknownPlaceError(DomainError):
     code = "UNKNOWN_PLACE"
 
 
-class NoDominatorError(DomainError):
-    code = "NO_DOMINATOR"
-
-
 class HypothesisFailError(DomainError):
     """Fixed-point hypothesis of the pushforward comparison failed.
 

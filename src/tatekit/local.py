@@ -210,21 +210,12 @@ class ResidueField(Frozen):
             return self._pad((c,))
         return self._pad(c)
 
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.r
-
     def one(self) -> tuple[int, ...]:
         return self._pad((1,))
 
     def elements(self):
         for tail in itertools.product(range(self.p), repeat=self.r):
             yield tail
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(self._pad(a), self._pad(b)))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(self._pad(a), self._pad(b)))
 
     def mul(self, a, b):
         return self._pad(_poly_mul(self._pad(a), self._pad(b), self.p))
@@ -286,25 +277,6 @@ class TruncatedElement(Frozen):
     @property
     def modulus(self) -> int:
         return self.p**self.precision
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, TruncatedElement):
-            if (other.p, other.precision) != (self.p, self.precision):
-                raise ValueError("mismatched precision")
-            return other.value
-        return int(other)
-
-    def __add__(self, other):
-        return TruncatedElement(self.p, self.precision, self.value + self._coerce(other))
-
-    def __mul__(self, other):
-        return TruncatedElement(self.p, self.precision, self.value * self._coerce(other))
-
-    def __pow__(self, e: int):
-        return TruncatedElement(self.p, self.precision, pow(self.value, e, self.modulus))
-
-    def residue(self) -> int:
-        return self.value % self.p
 
 
 def teichmuller_lift(alpha, field: ResidueField, precision: int = 8) -> TruncatedElement:

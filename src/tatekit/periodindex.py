@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .abgroup import AbElement, element_order
+from .abgroup import element_order
 from .errors import BadResidueError, Frozen, TheoremViolationError
 from .gmodule import (
     GModule,
-    Subgroup,
     coinvariants,
     cyclic,
     direct_sum_modules,
@@ -32,10 +31,6 @@ from .matrices import IntMatrix
 
 __all__ = [
     "h1_local",
-    "LocalTorusClass",
-    "local_torus_class",
-    "period",
-    "restriction_nontrivial",
     "mult_by_i_module",
     "counterexample_torus",
     "BranchWitness",
@@ -55,38 +50,6 @@ QUADRATIC_LAYER_RULE = (
 #: The local cohomology of the torus whose cocharacter lattice is the given
 #: module: the torsion part of its coinvariants.
 h1_local = torsion_coinvariants
-
-
-class LocalTorusClass(Frozen):
-    """A torsion coinvariant class of a cocharacter module; immutable."""
-
-    def __init__(self, module: GModule, cls: AbElement):
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "cls", cls)
-
-
-def local_torus_class(module: GModule, coords) -> LocalTorusClass:
-    group = h1_local(module).group
-    cls = coords if isinstance(coords, AbElement) else group.element(coords)
-    if cls.group != group:
-        raise ValueError("class does not live in the torsion coinvariants")
-    return LocalTorusClass(module, cls)
-
-
-def period(c: LocalTorusClass) -> int:
-    n = element_order(c.cls)
-    assert isinstance(n, int)  # torsion groups only
-    return n
-
-
-def restriction_nontrivial(c: LocalTorusClass, sub: Subgroup) -> bool:
-    """Whether the class survives restriction to the fixed field of ``sub``.
-
-    Restriction on these groups is realized by the transfer sum over coset
-    representatives.
-    """
-    res = transfer(c.module, sub, c.cls, source=h1_local(c.module))
-    return not res.is_zero()
 
 
 @lru_cache(maxsize=1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, TooLargeError
 from .gmodule import (
     FiniteGroup,
     GModule,
@@ -25,6 +25,7 @@ from .sha import GlobalData, PlaceDatum
 from .tower import TowerConfig
 
 __all__ = [
+    "MAX_MODULE_RANK",
     "canonical_dumps",
     "encode",
     "expect_dict",
@@ -38,7 +39,13 @@ __all__ = [
     "load_subgroup",
     "load_tower",
     "parse_int",
+    "parse_ints",
 ]
+
+# the largest module rank accepted.  On the trivial group no generator matrix
+# bounds the rank, and an op's time grows about fourfold per doubling of it:
+# at 512 the slowest op, split-sim, takes about 1 s on a 2-core Xeon
+MAX_MODULE_RANK = 512
 
 
 def load_json(text: str) -> object:
@@ -70,6 +77,11 @@ def parse_int(value, where: str) -> int:
     raise SchemaError(f"{where}: expected an integer or decimal string, got {value!r}")
 
 
+def parse_ints(obj, where: str) -> tuple[int, ...]:
+    """A JSON list of integers, each read by :func:`parse_int`."""
+    return tuple(parse_int(x, f"{where}[{i}]") for i, x in enumerate(expect_list(obj, where)))
+
+
 def expect_dict(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
@@ -98,8 +110,8 @@ def load_matrix(obj, where: str) -> IntMatrix:
             width = len(row)
         elif len(row) != width:
             raise SchemaError(f"{where}[{i}]: ragged row")
-        parsed.append([parse_int(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
-    return IntMatrix(len(parsed), width or 0, tuple(map(tuple, parsed)))
+        parsed.append(parse_ints(row, f"{where}[{i}]"))
+    return IntMatrix(len(parsed), width or 0, tuple(parsed))
 
 
 def load_group(obj, where: str = "group") -> FiniteGroup:
@@ -107,12 +119,7 @@ def load_group(obj, where: str = "group") -> FiniteGroup:
     obj = expect_dict(obj, where)
     if "mul_table" in obj:
         table = expect_list(obj["mul_table"], f"{where}.mul_table")
-        rows = []
-        for i, row in enumerate(table):
-            row = expect_list(row, f"{where}.mul_table[{i}]")
-            rows.append(
-                tuple(parse_int(x, f"{where}.mul_table[{i}][{j}]") for j, x in enumerate(row))
-            )
+        rows = [parse_ints(row, f"{where}.mul_table[{i}]") for i, row in enumerate(table)]
         if "order" in obj and parse_int(obj["order"], f"{where}.order") != len(rows):
             raise SchemaError(f"{where}.order: does not match the table size")
         try:
@@ -121,12 +128,7 @@ def load_group(obj, where: str = "group") -> FiniteGroup:
             raise SchemaError(f"{where}.mul_table: {exc}") from None
     if "permutations" in obj:
         perms = expect_list(obj["permutations"], f"{where}.permutations")
-        parsed = []
-        for i, perm in enumerate(perms):
-            perm = expect_list(perm, f"{where}.permutations[{i}]")
-            parsed.append(
-                [parse_int(x, f"{where}.permutations[{i}][{j}]") for j, x in enumerate(perm)]
-            )
+        parsed = [parse_ints(perm, f"{where}.permutations[{i}]") for i, perm in enumerate(perms)]
         try:
             return from_permutations(parsed)[0]
         except ValueError as exc:
@@ -139,6 +141,8 @@ def load_module(group: FiniteGroup, obj, where: str = "module") -> GModule:
     rank = parse_int(_get(obj, "rank", where), f"{where}.rank")
     if rank < 0:
         raise SchemaError(f"{where}.rank: must be non-negative")
+    if rank > MAX_MODULE_RANK:
+        raise TooLargeError(f"{where}.rank: {rank} exceeds the supported bound {MAX_MODULE_RANK}")
     gens: dict[int, IntMatrix] = {}
     for i, entry in enumerate(expect_list(obj.get("generators", []), f"{where}.generators")):
         entry = expect_dict(entry, f"{where}.generators[{i}]")
@@ -158,7 +162,7 @@ def load_module(group: FiniteGroup, obj, where: str = "module") -> GModule:
 
 
 def load_subgroup(group: FiniteGroup, obj, where: str) -> Subgroup:
-    members = [parse_int(x, f"{where}[{i}]") for i, x in enumerate(expect_list(obj, where))]
+    members = parse_ints(obj, where)
     for i, m in enumerate(members):
         if not 0 <= m < group.order:
             raise SchemaError(f"{where}[{i}]: out of range")
@@ -197,10 +201,7 @@ def load_scenario(obj, where: str = "scenario") -> tuple[GlobalData, dict[str, t
         for label, coords in raw.items():
             if label not in seen:
                 raise SchemaError(f"{where}.local_classes.{label}: unknown place")
-            classes[label] = tuple(
-                parse_int(x, f"{where}.local_classes.{label}[{i}]")
-                for i, x in enumerate(expect_list(coords, f"{where}.local_classes.{label}"))
-            )
+            classes[label] = parse_ints(coords, f"{where}.local_classes.{label}")
     return data, classes
 
 
@@ -221,17 +222,9 @@ def load_tower(obj, where: str = "input") -> tuple[TowerConfig, tuple[int, ...]]
             pair = expect_list(pair, f"{where}.sigma[{i}].generators[{j}]")
             if len(pair) != 2:
                 raise SchemaError(f"{where}.sigma[{i}].generators[{j}]: expected a pair")
-            gens.append(
-                (
-                    parse_int(pair[0], f"{where}.sigma[{i}].generators[{j}][0]"),
-                    parse_int(pair[1], f"{where}.sigma[{i}].generators[{j}][1]"),
-                )
-            )
+            gens.append(parse_ints(pair, f"{where}.sigma[{i}].generators[{j}]"))
         sigma.append((label, tuple(gens)))
-    alpha = tuple(
-        parse_int(x, f"{where}.alpha[{i}]")
-        for i, x in enumerate(expect_list(obj.get("alpha", []), f"{where}.alpha"))
-    )
+    alpha = parse_ints(obj.get("alpha", []), f"{where}.alpha")
     extra = obj.get("extra_label", "w")
     if not isinstance(extra, str) or not extra:
         raise SchemaError(f"{where}.extra_label: expected a non-empty string")

@@ -22,7 +22,6 @@ from .errors import (
     BoundViolationError,
     DomainError,
     Frozen,
-    NoDominatorError,
     NoPigeonholeError,
     TheoremViolationError,
     TooLargeError,
@@ -49,7 +48,6 @@ __all__ = [
     "MAX_ENUM_ORDER",
     "MAX_RHO_BITS",
     "ExponentTriple",
-    "PlaceSelection",
     "ProductSubgroup",
     "SimulationReport",
     "SubgroupBoundReport",
@@ -58,7 +56,6 @@ __all__ = [
     "degree_exponents",
     "enumerate_subgroups",
     "product_subgroup",
-    "select_dominating_places",
     "simulate_splitting_tower",
     "subgroup_bound_check",
 ]
@@ -149,108 +146,6 @@ def degree_exponents(theta_order: int) -> ExponentTriple:
         )
     rho = (theta_order - 1) * theta_order**lam + 1
     return ExponentTriple(theta_order, lam, rho, rho + lam + 1)
-
-
-# -- dominating-place selection -------------------------------------------
-
-
-def _conjugacy_class(group: FiniteGroup, members: frozenset) -> frozenset:
-    return frozenset(group.conjugate(g, members) for g in group.elements())
-
-
-class PlaceSelection:
-    """A small set of places whose decomposition groups dominate all others.
-
-    ``certificate`` maps every input place to a selected place and a
-    conjugating element exhibiting containment of decomposition groups.  The
-    chain maximal_class_count <= all_class_count <= subgroup_count <= bound
-    is asserted before returning.
-    """
-
-    def __init__(
-        self,
-        selected: tuple[str, ...],
-        certificate: tuple[tuple[str, str, int], ...],
-        maximal_class_count: int,
-        present_class_count: int,
-        all_class_count: int,
-        subgroup_count: int,
-        bound: int,
-    ):
-        self.selected = selected
-        self.certificate = certificate
-        self.maximal_class_count = maximal_class_count
-        self.present_class_count = present_class_count
-        self.all_class_count = all_class_count
-        self.subgroup_count = subgroup_count
-        self.bound = bound
-
-
-def select_dominating_places(data: GlobalData) -> PlaceSelection:
-    if not data.places:
-        raise DomainError("at least one place is required")
-    theta = data.theta
-    present = [(p.label, frozenset(p.decomposition.members)) for p in data.places]
-
-    dec_set: set[frozenset] = set()
-    for _, h in present:
-        dec_set |= _conjugacy_class(theta, h)
-    maximal = {h for h in dec_set if not any(h < k for k in dec_set)}
-
-    classes: list[frozenset] = []
-    for h in sorted(maximal, key=lambda m: (len(m), tuple(sorted(m)))):
-        cls = _conjugacy_class(theta, h)
-        if cls not in classes:
-            classes.append(cls)
-    selected = []
-    for cls in classes:
-        selected.append(next(lab for lab, h in present if h in cls))
-
-    selected_pairs = [
-        (lab, frozenset(data.place(lab).decomposition.members)) for lab in selected
-    ]
-    certificate = []
-    for lab, h in present:
-        dom = None
-        for slab, sh in selected_pairs:
-            for g in theta.elements():
-                if h <= theta.conjugate(g, sh):
-                    dom = (lab, slab, g)
-                    break
-            if dom is not None:
-                break
-        if dom is None:
-            raise NoDominatorError(f"place {lab!r} has no dominating selected place")
-        certificate.append(dom)
-
-    subs = enumerate_subgroups(theta)
-    all_classes: list[frozenset] = []
-    for s in subs:
-        cls = _conjugacy_class(theta, frozenset(s.members))
-        if cls not in all_classes:
-            all_classes.append(cls)
-    present_classes: list[frozenset] = []
-    for _, h in present:
-        cls = _conjugacy_class(theta, h)
-        if cls not in present_classes:
-            present_classes.append(cls)
-
-    lam = theta.order.bit_length() - 1
-    bound = theta.order**lam
-    m1 = len(classes)
-    if not (m1 <= len(all_classes) <= len(subs) <= bound):
-        raise TheoremViolationError("selection counting chain failed")
-    if m1 > bound:
-        raise TheoremViolationError("selected more places than the bound allows")
-    return PlaceSelection(
-        selected=tuple(selected),
-        certificate=tuple(certificate),
-        maximal_class_count=m1,
-        present_class_count=len(present_classes),
-        all_class_count=len(all_classes),
-        subgroup_count=len(subs),
-        bound=bound,
-    )
 
 
 # -- decomposition subgroups of Theta x Z/n^(r-1) --------------------------

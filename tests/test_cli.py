@@ -15,6 +15,7 @@ from tatekit import cli
 from tatekit.errors import TheoremViolationError, TransferNonzeroError
 from tatekit.gmodule import augmentation_kernel_module, cyclic, klein_four
 from tatekit.local import MAX_LIFT_BITS
+from tatekit.serial import MAX_MODULE_RANK
 from tatekit.tower import MAX_RHO_BITS
 
 
@@ -762,6 +763,35 @@ def test_exponents_past_the_rho_bound_is_too_large(tmp_path, capsys):
     assert time.perf_counter() - started < 1
     assert code == 1 and body["error"]["code"] == "TOO_LARGE"
     assert str(MAX_RHO_BITS) in body["error"]["message"]
+
+
+def _trivial_group_jobs(rank: int) -> dict:
+    """One payload of each op that reads a module, on the trivial group."""
+    group, module = {"mul_table": [[0]]}, {"rank": rank}
+    scenario = {"theta": group, "module": module, "places": [{"label": "v", "decomposition_members": [0]}]}
+    return {
+        "tate": {"group": group, "module": module},
+        "transfer": {"group": group, "module": module, "subgroup_members": [0], "class": [0] * rank},
+        "sha1": {"scenario": scenario},
+        "tate-obstruction": {"scenario": {**scenario, "local_classes": {"v": []}}},
+        "split-sim": {"scenario": scenario, "n": 2, "sigma": [{"label": "v", "generators": [[0, 1]]}]},
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_trivial_group_jobs(0)))
+def test_a_module_rank_past_the_bound_is_too_large(tmp_path, capsys, op):
+    # the trivial group has no generator matrix to bound the rank
+    rank = MAX_MODULE_RANK + 1
+    path = write(tmp_path, "in.json", _trivial_group_jobs(rank)[op])
+    code, body, _ = run_cli(capsys, [op, path])
+    assert code == 1 and body["error"]["code"] == "TOO_LARGE"
+    assert str(rank) in body["error"]["message"] and str(MAX_MODULE_RANK) in body["error"]["message"]
+
+
+def test_a_module_rank_at_the_bound_is_read(tmp_path, capsys):
+    path = write(tmp_path, "in.json", _trivial_group_jobs(MAX_MODULE_RANK)["sha1"])
+    code, body, _ = run_cli(capsys, ["sha1", path])
+    assert code == 0 and body["result"]["agree"] is True
 
 
 def test_batch_keeps_its_reports_beside_an_oversized_theta_order(tmp_path, capsys):

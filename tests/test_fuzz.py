@@ -15,10 +15,12 @@ import os
 import signal
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tatekit import cli
+from tatekit.serial import MAX_MODULE_RANK
 from test_tooling import _one_payload_per_op
 
 PAYLOADS = _one_payload_per_op()
@@ -97,7 +99,26 @@ def test_a_mutated_payload_gets_a_report_and_no_traceback(data):
         path = data.draw(st.sampled_from(list(_paths(payload))), label="path")
         payload = _replaced(payload, path, data.draw(st.sampled_from(_mutations(_at(payload, path)))))
     text = json.dumps(payload).replace(json.dumps(RAW_NUMBER), DIGITS)
-    code, out = _run(op, text)
+    _assert_a_report(*_run(op, text))
+
+
+def _assert_a_report(code: int, out: str) -> None:
     assert code in (0, 1, 2)
     report = json.loads(out)
     assert ("error" in report) == (code != 0), report
+
+
+def _module_of_rank(table, rank) -> dict:
+    return {"group": {"mul_table": table}, "module": {"rank": rank}}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _module_of_rank([[0, 1], [1, 0]], 10**40),
+        _module_of_rank([[0]], 10**40),
+        _module_of_rank([[0]], MAX_MODULE_RANK + 1),
+    ],
+)
+def test_a_known_mutation_gets_a_report(payload):
+    _assert_a_report(*_run("tate", json.dumps(payload)))

@@ -15,7 +15,6 @@ from tatekit.local import (
     MAX_FIELD_DEGREE,
     SquareClass,
     TameExtDescriptor,
-    TruncatedElement,
     is_prime,
     is_square_in_extension,
     quadratic_subextension,
@@ -95,22 +94,10 @@ def test_nonsquare_is_lexicographically_least():
 # -- truncated units and multiplicative lifts -------------------------------
 
 
-def test_truncated_element_arithmetic():
-    a = TruncatedElement(5, 2, 24)
-    assert (a + 1).value == 0
-    assert (a * 2).value == 23
-    assert (a**2).value == 1
-    assert a.residue() == 4
-    with pytest.raises(ValueError):
-        a + TruncatedElement(5, 3, 1)
-    with pytest.raises(ValueError):
-        a * TruncatedElement(7, 2, 1)
-
-
 def test_teichmuller_golden_value():
     t = teichmuller_lift(2, residue_field(5), precision=3)
     assert t.value == 57
-    assert (t**2).value == 125 - 1  # lift of -1
+    assert pow(t.value, 2, t.modulus) == 125 - 1  # lift of -1
 
 
 def test_teichmuller_defining_property_exhaustive():
@@ -130,8 +117,8 @@ def test_teichmuller_is_multiplicative():
     for a in range(1, 11):
         for b in range(1, 11):
             lhs = teichmuller_lift(a * b % 11, fld, prec)
-            rhs = teichmuller_lift(a, fld, prec) * teichmuller_lift(b, fld, prec)
-            assert lhs.value == rhs.value
+            ta, tb = teichmuller_lift(a, fld, prec), teichmuller_lift(b, fld, prec)
+            assert lhs.value == ta.value * tb.value % ta.modulus
 
 
 def test_teichmuller_guards():

@@ -5,17 +5,13 @@ import importlib
 import pytest
 
 from tatekit.errors import BadResidueError, TheoremViolationError
-from tatekit.gmodule import coinvariants, generated_subgroup, subgroup
 from tatekit.local import SquareClass
 from tatekit.periodindex import (
     BranchWitness,
     CounterexampleReport,
     counterexample_torus,
     h1_local,
-    local_torus_class,
     mult_by_i_module,
-    period,
-    restriction_nontrivial,
     validate_report,
     verify_counterexample_local,
 )
@@ -26,13 +22,6 @@ NONTRIVIAL = {SquareClass.EPS, SquareClass.PI, SquareClass.EPS_PI}
 def test_quarter_turn_class_api():
     m = mult_by_i_module()
     assert h1_local(m).group.invariant_factors == (2,)
-    c = local_torus_class(m, (1,))
-    assert period(c) == 2
-    half = generated_subgroup(m.group, [2])
-    assert restriction_nontrivial(c, half)
-    assert not restriction_nontrivial(c, subgroup(m.group, [0]))
-    with pytest.raises(ValueError):
-        local_torus_class(m, coinvariants(counterexample_torus()).group.zero())
 
 
 def test_product_torus_shape():

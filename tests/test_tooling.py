@@ -5,12 +5,16 @@ string; a refactor that renames or uncaches one would only surface when a
 traced benchmark run fails.  These checks read its tables and change nothing.
 """
 
+import ast
+import contextlib
 import hashlib
 import importlib
 import importlib.util
+import io
 import itertools
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -24,11 +28,15 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _perfbench(path: Path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _tracer():
+    return _perfbench(TRACER)
 
 
 def _tracer_tables():
@@ -93,14 +101,15 @@ def test_every_package_attribute_named_after_a_submodule_is_that_submodule():
         assert getattr(package, name) is module, name
 
 
-@pytest.mark.parametrize(
-    "argv,digest",
-    [
-        (["local_counterexample.py", "--max-p", "60"], "450b8da3bc4fa3a897f075c06d655e6b62f5ceb551ef83de618f0414e38b72f0"),
-        (["klein_tower.py", "--n", "2", "--alpha", "1"], "ebba790583f23831924e323a29902df5818486a1bb173cb82e7040bec4b1f740"),
-        (["subgroup_bounds.py", "--max-order", "16"], "412e8bcf4daa29e3afbf120baa1d99e3c73902a68f41c05b56635ae972fe8439"),
-    ],
-)
+# the README's three example commands, and the sha256 of what each prints
+README_COMMANDS = [
+    (["local_counterexample.py", "--max-p", "60"], "450b8da3bc4fa3a897f075c06d655e6b62f5ceb551ef83de618f0414e38b72f0"),
+    (["klein_tower.py", "--n", "2", "--alpha", "1"], "ebba790583f23831924e323a29902df5818486a1bb173cb82e7040bec4b1f740"),
+    (["subgroup_bounds.py", "--max-order", "16"], "412e8bcf4daa29e3afbf120baa1d99e3c73902a68f41c05b56635ae972fe8439"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", README_COMMANDS)
 def test_the_readme_scripts_print_what_they_printed(argv, digest):
     # the README's three example commands, run on this checkout's sources
     src = str(ROOT / "src")
@@ -198,3 +207,87 @@ def test_no_op_runs_the_dense_forms(tmp_path, monkeypatch):
     tower_result = reports["split-sim"]
     assert [data.theta.order for data in built] == [int(tower_result["effective_group_order"])]
     assert [p.label for p in built[0].places] == ["v1", "v2", "v3", "w"]
+
+
+def _entered_by_the_ops_and_the_readme_scripts(tmp_path, monkeypatch) -> set:
+    """Code objects entered by one job of each op and the README commands,
+    each run in process from cold caches."""
+    caches = _perfbench(TRACER.with_name("worker.py")).lru_caches
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    def run(fn, *args):
+        for cache in caches():
+            cache.cache_clear()
+        sys.setprofile(profile)
+        try:
+            return fn(*args)
+        finally:
+            sys.setprofile(None)
+
+    jobs = list(_one_payload_per_op().items())
+    # a group given by permutations, so that from_permutations runs
+    jobs.append(("subgroup-bound", {"group": {"permutations": [[1, 0, 2], [1, 2, 0]]}}))
+    for op, payload in jobs:
+        src, out = tmp_path / f"{op}.json", tmp_path / f"{op}.out.json"
+        src.write_text(json.dumps(payload))
+        assert run(tatekit.cli.main, [op, str(src), "--out", str(out)]) == 0, out.read_text()
+    for argv, _ in README_COMMANDS:
+        script = str(ROOT / "scripts" / argv[0])
+        monkeypatch.setattr(sys, "argv", [script, *argv[1:]])
+        with contextlib.redirect_stdout(io.StringIO()):
+            run(runpy.run_path, script, None, "__main__")
+    return entered
+
+
+def _imported_from_tatekit(path: Path) -> set:
+    """Ids of the objects a file imports from tatekit by name."""
+    ids = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tatekit":
+            module = importlib.import_module(node.module)
+            ids.update(id(getattr(module, alias.name)) for alias in node.names)
+    return ids
+
+
+def _codes(obj) -> set:
+    """What entering ``obj`` means: its function's code, or for a class the
+    code of any function, property or method its body defines."""
+    while hasattr(obj, "__wrapped__"):
+        obj = obj.__wrapped__
+    if not isinstance(obj, type):
+        return {obj.__code__}
+    codes = set()
+    for value in vars(obj).values():
+        for attr in ("fget", "func", "__func__"):
+            value = getattr(value, attr, value)
+        if hasattr(value, "__code__"):
+            codes.add(value.__code__)
+    return codes
+
+
+def test_every_public_callable_is_reached_by_an_op_a_readme_script_or_the_benchmark(tmp_path, monkeypatch):
+    # code that no op, README script, benchmark or acceptance criterion needs
+    # is deleted, not kept for its own unit tests
+    entered = _entered_by_the_ops_and_the_readme_scripts(tmp_path, monkeypatch)
+    named = _imported_from_tatekit(ROOT / "perfbench" / "record.py")
+    named |= _imported_from_tatekit(ROOT / "tests" / "test_acceptance.py")
+    spans, caches = _tracer_tables()
+    for mod_name, attr, *_ in spans + caches:
+        named.add(id(getattr(importlib.import_module(f"tatekit.{mod_name}"), attr.split(".")[0])))
+    package = importlib.import_module("tatekit")
+    unreached = []
+    for path in sorted(Path(package.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"tatekit.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
+                continue
+            if id(obj) not in named and not _codes(obj) & entered:
+                unreached.append(f"{path.stem}.{name}")
+    assert not unreached, f"reached by no op, README script, benchmark or criterion: {unreached}"

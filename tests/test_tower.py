@@ -38,7 +38,6 @@ from tatekit.tower import (
     degree_exponents,
     enumerate_subgroups,
     product_subgroup,
-    select_dominating_places,
     simulate_splitting_tower,
     subgroup_bound_check,
 )
@@ -150,54 +149,6 @@ def test_degree_exponents_bound_on_rho():
     for order in (2**64, 10**200):
         with pytest.raises(TooLargeError, match=str(MAX_RHO_BITS)):
             degree_exponents(order)
-
-
-# -- dominating places -----------------------------------------------------------
-
-
-def test_klein_places_are_pairwise_incomparable():
-    sel = select_dominating_places(klein_data())
-    assert sel.selected == ("v1", "v2", "v3")
-    assert sel.certificate == (("v1", "v1", 0), ("v2", "v2", 0), ("v3", "v3", 0))
-    assert sel.maximal_class_count == 3
-    assert sel.maximal_class_count <= sel.all_class_count <= sel.subgroup_count <= sel.bound
-
-
-def test_nested_places_collapse_to_the_top():
-    g = cyclic(4)
-    data = GlobalData(
-        g,
-        quarter_turn_data().module,
-        (
-            PlaceDatum("deep", full_subgroup(g)),
-            PlaceDatum("mid", generated_subgroup(g, [2])),
-            PlaceDatum("shallow", subgroup(g, [0])),
-        ),
-    )
-    sel = select_dominating_places(data)
-    assert sel.selected == ("deep",)
-    assert all(slab == "deep" for _, slab, _ in sel.certificate)
-    assert sel.present_class_count == 3
-
-
-def test_conjugate_places_share_a_dominator():
-    s3 = dihedral(3)
-    refls = [x for x in s3.elements() if s3.element_order(x) == 2]
-    data = GlobalData(
-        s3,
-        trivial_module(s3, 1),
-        tuple(PlaceDatum(f"r{i}", generated_subgroup(s3, [x])) for i, x in enumerate(refls)),
-    )
-    sel = select_dominating_places(data)
-    assert len(sel.selected) == 1  # all three reflections are conjugate
-    assert len(sel.certificate) == 3
-
-
-def test_selection_requires_places():
-    v4 = klein_four()
-    bare = GlobalData(v4, klein_data().module, ())
-    with pytest.raises(DomainError):
-        select_dominating_places(bare)
 
 
 # -- product subgroups, lazily ---------------------------------------------------
