@@ -54,7 +54,6 @@ from .gmodule import (
     invariants,
     klein_four,
     module_from_generators,
-    norm_induced_map,
     norm_matrix,
     permutation_module,
     pullback_module,

@@ -279,38 +279,35 @@ class LatticeQuotient:
 
     def generator_vectors(self) -> list[tuple[int, ...]]:
         """One lattice representative per normal-form coordinate."""
-        out = []
-        for i in range(self.group.ncoords):
-            coords = [0] * self.group.ncoords
-            coords[i] = 1
-            out.append(self.lift(AbElement(self.group, tuple(coords))))
-        return out
+        return self._smith_columns(self._units, self.basis.cols).columns()
 
     def zero(self) -> AbElement:
         return self.group.zero()
 
     # -- derived quotients -------------------------------------------------
 
+    def _smith_columns(self, lo: int, hi: int) -> IntMatrix:
+        """Columns lo..hi-1 of basis @ u_inv, the Smith basis of P."""
+        cols = IntMatrix(self.basis.cols, hi - lo, tuple(row[lo:hi] for row in self.snf.u_inv.entries))
+        return cols if self._full_basis else self.basis @ cols
+
+    def _torsion_from(self, lo: int) -> "LatticeQuotient":
+        """Smith basis vectors g from ``lo`` to the relation rank, relations d*g;
+        that chain is its own Smith form, so torsion coordinates are kept."""
+        d, t = self._rel_factors[lo:], self._rank_rel - lo
+        diag = IntMatrix(t, t, tuple((0,) * i + (x,) + (0,) * (t - 1 - i) for i, x in enumerate(d)))
+        basis = self._smith_columns(lo, self._rank_rel)
+        return LatticeQuotient(self.ambient_rank, basis, basis @ diag, rel_in_basis=diag)
+
     def torsion(self) -> "LatticeQuotient":
         """Torsion subgroup, presented on the saturation of the relations."""
-        k = self._rank_rel
-        sat = IntMatrix(self.basis.cols, k, tuple(row[:k] for row in self.snf.u_inv.entries))
-        # u @ rel_in_basis vanishes below row k, so its top rows are the
-        # relations' coordinates over sat
-        coords = IntMatrix(k, self.basis.cols, self.snf.u.entries[:k]) @ self.rel_in_basis
-        return LatticeQuotient(self.ambient_rank, self.basis @ sat, self.relations, rel_in_basis=coords)
+        return self._torsion_from(0)
 
     def torsion_on_generators(self) -> "LatticeQuotient":
         """The torsion subgroup on one generator g per invariant factor d, the
         ``generator_vectors`` of the torsion coordinates, with relation d*g.
-        Over the identity basis the g are the lifts themselves.  A vector
-        outside the span of the g cannot be projected into it."""
-        units, k = self._units, self._rank_rel
-        t, factors = k - units, self.group.invariant_factors
-        lifts = IntMatrix(self.basis.cols, t, tuple(row[units:k] for row in self.snf.u_inv.entries))
-        diag = IntMatrix(t, t, tuple((0,) * i + (d,) + (0,) * (t - 1 - i) for i, d in enumerate(factors)))
-        basis = lifts if self._full_basis else self.basis @ lifts
-        return LatticeQuotient(self.ambient_rank, basis, basis @ diag, rel_in_basis=diag)
+        A vector outside the span of the g cannot be projected into it."""
+        return self._torsion_from(self._units)
 
 
 def cokernel(a: IntMatrix) -> LatticeQuotient:

@@ -23,6 +23,7 @@ from functools import cache
 from types import SimpleNamespace
 
 from . import __version__, serial
+from .abgroup import class_in
 from .errors import CoordinateLengthError, DomainError, Frozen, SchemaError, TatekitError, TheoremViolationError
 from .gmodule import coinvariants, tate_h0, tate_h_minus1, transfer
 from .local import (
@@ -91,7 +92,7 @@ def _op_tate(payload: dict):
         "h_minus1_generators": [list(v) for v in h1.generator_vectors()],
         "h0": _group_dict(h0.group),
     }
-    return result, ["coinvariants", "norm_induced_map", "norm_induced_map.kernel", "tate_h0"]
+    return result, ["coinvariants", "tate_h_minus1", "tate_h0"]
 
 
 def _op_transfer(payload: dict):
@@ -100,9 +101,9 @@ def _op_transfer(payload: dict):
     coords = serial.parse_ints(payload.get("class", []), "input.class")
     co = coinvariants(module)
     try:
-        x = co.group.element(coords)
-    except ValueError as exc:
-        raise SchemaError(f"input.class: {exc}") from None
+        x = class_in(co.group, coords, "input.class")
+    except CoordinateLengthError as exc:
+        raise SchemaError(str(exc)) from None
     image = transfer(module, sub, x)
     result = {
         "source": _group_dict(co.group),

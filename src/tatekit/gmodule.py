@@ -8,9 +8,9 @@ the integer matrices by which the elements of its ``generating_set()`` act;
 the matrix of any other element is their product along the tree edges.
 Modules built from outside data go through :func:`module_from_generators`,
 which checks the group law on every non-tree edge.
-Coinvariants and their torsion part M_{G,Tors}, invariants, the norm map,
-its kernel on coinvariant classes, and transfer maps to subgroups are all
-computed exactly through the lattice presentations in :mod:`tatekit.abgroup`.
+Coinvariants, invariants, Tate groups and transfers are computed exactly in
+:mod:`tatekit.abgroup`.  H^-1 = ker(N: M_G -> M^G) is M_{G,Tors}: |G| kills
+it, and a torsion class has norm 0 in the lattice M^G (Brown, VI.4-VI.5).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .abgroup import AbElement, InducedMap, LatticeQuotient, cokernel
+from .abgroup import AbElement, LatticeQuotient, cokernel
 from .errors import Frozen, SubgroupMismatchError
 from .matrices import IntMatrix, block_diagonal, hnf_basis, kernel_basis
 
@@ -48,7 +48,6 @@ __all__ = [
     "torsion_coinvariants",
     "invariants",
     "norm_matrix",
-    "norm_induced_map",
     "tate_h_minus1",
     "tate_h0",
     "transfer",
@@ -716,36 +715,18 @@ def norm_matrix(module: GModule) -> IntMatrix:
     return total
 
 
-def invariants_quotient(module: GModule) -> LatticeQuotient:
-    """The fixed lattice M^G presented as a quotient with no relations."""
-    basis = invariants(module)
-    return LatticeQuotient(module.rank, basis, IntMatrix.zeros(module.rank, 0))
-
-
-@lru_cache(maxsize=512)
-def norm_induced_map(module: GModule) -> InducedMap:
-    """The norm map on coinvariant classes, landing in the fixed lattice."""
-    return InducedMap(coinvariants(module), invariants_quotient(module), norm_matrix(module))
-
-
 @lru_cache(maxsize=512)
 def tate_h_minus1(module: GModule) -> LatticeQuotient:
-    """Kernel of the norm map on coinvariant classes.
-
-    When the norm matrix vanishes this is the whole coinvariant group.
-    """
-    return norm_induced_map(module).kernel()
+    """H^-1(G, M) = ker(N: M_G -> M^G), the torsion of M_G: |G| kills H^-1,
+    and the norm of a torsion class is a torsion vector of the lattice M^G,
+    so 0 (Brown, Cohomology of Groups, VI.4-VI.5)."""
+    return torsion_coinvariants(module)
 
 
 def tate_h0(module: GModule) -> LatticeQuotient:
-    """Fixed lattice modulo norms: M^G / N(M).
-
-    Both lattices are presented by their Hermite normal forms, so the
-    quotient depends only on them.  M^G and the norms are read off the
-    cached norm map, which ``tate_h_minus1`` builds too.
-    """
-    norm = norm_induced_map(module)
-    return LatticeQuotient(module.rank, norm.target.basis, hnf_basis(norm.matrix))
+    """Fixed lattice modulo norms, M^G / N(M), both presented by their Hermite
+    normal forms; the quotient checks that every norm lies in M^G."""
+    return LatticeQuotient(module.rank, invariants(module), hnf_basis(norm_matrix(module)))
 
 
 # -- transfer ------------------------------------------------------------

@@ -33,6 +33,7 @@ from .errors import (
     HypothesisFailError,
     MembershipError,
     TheoremViolationError,
+    TooLargeError,
     UnknownPlaceError,
 )
 from .gmodule import (
@@ -49,6 +50,7 @@ from .gmodule import (
     degree_zero_submodule,
     disjoint_union_action,
     permutation_module,
+    pullback_module,
     quotient_group,
     restrict_module,
     torsion_coinvariants,
@@ -56,6 +58,7 @@ from .gmodule import (
 from .matrices import IntMatrix, hnf_basis, kernel_basis, smith_normal_form
 
 __all__ = [
+    "MAX_CONE_RANK",
     "PlaceDatum",
     "GlobalData",
     "PlaceModule",
@@ -73,6 +76,10 @@ __all__ = [
     "lemma_pushforward",
     "pushforward_counter_instance",
 ]
+
+
+# the largest cone of corestriction built, of rank r(|S| - 1 + |X|): about 2 s on a 2-core Xeon
+MAX_CONE_RANK = 192
 
 
 class PlaceDatum(Frozen):
@@ -331,6 +338,14 @@ def _cayley_complex(module: GModule) -> _CayleyComplex:
     return _CayleyComplex(module)
 
 
+def _cone_complex(data: GlobalData) -> _CayleyComplex:
+    """The Cayley complex, once the cone's rank is within ``MAX_CONE_RANK``."""
+    rank = data.module.rank * (len(data.places) - 1 + len(data.theta.generating_set()))
+    if rank > MAX_CONE_RANK:
+        raise TooLargeError(f"the cone of corestriction has rank {rank}, over the bound of {MAX_CONE_RANK}")
+    return _cayley_complex(data.module)
+
+
 def _add(p: tuple, q: tuple) -> tuple:
     return tuple(map(int.__add__, p, q))
 
@@ -507,7 +522,7 @@ def sha1_cone(data: GlobalData) -> ShaResult:
     """
     if _degree_zero_is_zero(data):
         return _trivial_result()
-    cx = _cayley_complex(data.module)
+    cx = _cone_complex(data)
     return _cone_kernel(data, cx, _cone_domain(data, cx).torsion_on_generators())
 
 
@@ -547,7 +562,7 @@ def sha1_forms(data: GlobalData) -> tuple[ShaResult, ShaResult, bool]:
     if _degree_zero_is_zero(data):
         zero = _trivial_result()
         return zero, zero, True
-    cx = _cayley_complex(data.module)
+    cx = _cone_complex(data)
     domain = _cone_domain(data, cx)
     localization = _cone_kernel(data, cx, domain.torsion_on_generators())
     if localization.domain.group.is_trivial:
@@ -691,14 +706,14 @@ def lemma_pushforward(
             orbit_of[action_e.act(h, x)] = idx
     n_orbits = len(orbit_reps)
 
-    quot, proj = quotient_group(group_ek, sub_ef)
+    quot, _ = quotient_group(group_ek, sub_ef)
     reps = sub_ef.left_reps
     images_f = tuple(
         tuple(orbit_of[action_e.act(reps[q], orbit_reps[o])] for o in range(n_orbits))
         for q in quot.elements()
     )
     action_f = PermAction(quot, n_orbits, images_f)
-    module_f = GModule(quot, module.rank, tuple(module.act(reps[q]) for q in quot.generating_set()))
+    module_f = pullback_module(module, quot, reps)
 
     deg0_e = degree_zero_submodule(action_e, module)[0]
     deg0_f = degree_zero_submodule(action_f, module_f)[0]

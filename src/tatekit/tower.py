@@ -46,6 +46,7 @@ from .sha import GlobalData, PlaceDatum, build_place_module, lemma_pushforward, 
 
 __all__ = [
     "MAX_ENUM_ORDER",
+    "MAX_LEVEL_RANK",
     "MAX_RHO_BITS",
     "ExponentTriple",
     "ProductSubgroup",
@@ -64,6 +65,8 @@ MAX_ENUM_ORDER = 64
 # bits of rho = (theta - 1) * theta^lam + 1; at most bit_length(theta)^2, so
 # theta orders below 2^64 pass and every accepted report encodes
 MAX_RHO_BITS = 4096
+# the largest level-s place module built, of rank (set_sizes[-1] - 1) * r: about 2 s on a 2-core Xeon
+MAX_LEVEL_RANK = 640
 
 
 # -- subgroup enumeration and the counting bound --------------------------
@@ -396,6 +399,9 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
     ns = n ** (s - 1)
     n_prev = n ** (s - 2)
     set_sizes = tuple(c - 1 + vtheta for c in counts)
+    level_rank = (set_sizes[-1] - 1) * data.module.rank
+    if level_rank > MAX_LEVEL_RANK:
+        raise TooLargeError(f"the level-{s} place module has rank {level_rank}, over the bound of {MAX_LEVEL_RANK}")
 
     # the effective cyclic quotient that actually acts at level s
     e = 1
@@ -403,6 +409,11 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
         e = lcm(e, ps.step_at(ns))
     if n_prev % e != 0:
         raise NoPigeonholeError("effective exponent fails to divide the sublevel degree")
+
+    sha = sha1_cone(data)
+    alpha_cls = class_in(sha.kernel.group, alpha, "alpha")
+    if not (n * alpha_cls).is_zero():
+        raise DomainError("class is not killed by the tower degree")
 
     ce = cyclic(e)
     geff = direct_product(theta, ce)
@@ -415,11 +426,6 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
     eff_places.append(PlaceDatum(cfg.extra_label, subgroup(geff, w_top.members_at(e))))
     data_s = GlobalData(geff, meff, tuple(eff_places))
     pm_s = build_place_module(data_s)
-
-    sha = sha1_cone(data)
-    alpha_cls = class_in(sha.kernel.group, alpha, "alpha")
-    if not (n * alpha_cls).is_zero():
-        raise DomainError("class is not killed by the tower degree")
 
     # level comparison: collapse the orbits of the cyclic factor 1 x Z/e, which
     # fixes every auxiliary point.  Numbered by their first points, the orbits

@@ -1,4 +1,5 @@
 import importlib
+import random
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,8 @@ from tatekit.gmodule import (
     augmentation_kernel_module,
     coinvariants,
     direct_sum_modules,
-    norm_induced_map,
+    invariants,
+    norm_matrix,
     permutation_module,
     trivial_module,
 )
@@ -32,6 +34,7 @@ from tatekit.matrices import (
 )
 from tatekit.sha import build_place_module, sha1_S, sha1_shapiro
 
+from test_gmodule import tate_corpus
 from test_matrices import hstack, vstack
 from test_sha import klein_data, quarter_turn_data
 
@@ -129,6 +132,21 @@ def test_torsion_on_generators_presents_the_torsion_on_its_generator_vectors(cor
             assert red.rel_in_basis.column(i) == tuple(d * x for x in unit)
             assert red.project(g).coords == unit
             assert co.project(g).coords == unit + (0,) * co.group.free_rank
+
+
+def test_torsion_keeps_the_torsion_coordinates_of_its_quotient(corpus):
+    # every corpus coinvariant group and random cokernels: a torsion
+    # generator has the same torsion coordinates in q.torsion() as in q
+    rng = random.Random(0x7075)
+    quotients = [coinvariants(m) for _, m in tate_corpus(corpus)]
+    for _ in range(3000):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        entries = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        quotients.append(cokernel(IntMatrix.from_rows(entries)))
+    for q in quotients:
+        t, nt = q.torsion(), len(q.group.invariant_factors)
+        for v in q.generator_vectors()[:nt]:
+            assert t.project(v).coords == q.project(v).coords[:nt], q.relations
 
 
 def test_induced_map_identity_and_kernel():
@@ -348,7 +366,8 @@ def _derived_quotients(corpus):
     for name, mname, module in _corpus_modules(corpus):
         co = coinvariants(module)
         yield f"{name}/{mname}/torsion", co.torsion()
-        yield f"{name}/{mname}/h-1", norm_induced_map(module).kernel()
+        fixed = LatticeQuotient(module.rank, invariants(module), IntMatrix.zeros(module.rank, 0))
+        yield f"{name}/{mname}/h-1", InducedMap(co, fixed, norm_matrix(module)).kernel()
         doubling = InducedMap(co, co, IntMatrix.identity(module.rank).scaled(2))
         yield f"{name}/{mname}/ker(2)", doubling.kernel()
     for name, data in (("klein", klein_data()), ("quarter", quarter_turn_data())):

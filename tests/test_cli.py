@@ -16,7 +16,8 @@ from tatekit.errors import TheoremViolationError, TransferNonzeroError
 from tatekit.gmodule import augmentation_kernel_module, cyclic, klein_four
 from tatekit.local import MAX_LIFT_BITS
 from tatekit.serial import MAX_MODULE_RANK
-from tatekit.tower import MAX_RHO_BITS
+from tatekit.sha import MAX_CONE_RANK
+from tatekit.tower import MAX_LEVEL_RANK, MAX_RHO_BITS
 
 
 def mul_table(g):
@@ -305,6 +306,11 @@ def quarter_classes(classes):
     return {"scenario": {**quarter_scenario(), "local_classes": classes}}
 
 
+def quarter_transfer(coords):
+    scenario = quarter_scenario()
+    return {"group": scenario["theta"], "module": scenario["module"], "subgroup_members": [0, 2], "class": coords}
+
+
 @pytest.mark.parametrize(
     "op,payload,field,got",
     [
@@ -312,6 +318,7 @@ def quarter_classes(classes):
         ("split-sim", klein_tower([]), "input.alpha", 0),
         ("tate-obstruction", quarter_classes({"v": [1, 1]}), "input.scenario.local_classes.v", 2),
         ("tate-obstruction", quarter_classes({"v": [1], "u": []}), "input.scenario.local_classes.u", 0),
+        ("transfer", quarter_transfer([1, 0]), "input.class", 2),
     ],
 )
 def test_class_coordinates_of_the_wrong_length_are_a_schema_error(tmp_path, capsys, op, payload, field, got):
@@ -810,3 +817,56 @@ def test_batch_keeps_its_reports_beside_an_oversized_theta_order(tmp_path, capsy
     order = 2**64 - 1
     assert largest["result"]["rho"] == str((order - 1) * order**63 + 1)
     assert small["result"]["rho"] == "49"
+
+
+def _one_point_places(rank: int, count: int) -> dict:
+    """A trivial-group scenario: a module of ``rank`` and ``count`` one-point places."""
+    places = [{"label": f"v{i}", "decomposition_members": [0]} for i in range(count)]
+    return {"theta": {"mul_table": [[0]]}, "module": {"rank": rank}, "places": places}
+
+
+def _one_point_tower(rank: int, count: int) -> dict:
+    sigma = [{"label": f"v{i}", "generators": [[0, 1]]} for i in range(count)]
+    return {"scenario": _one_point_places(rank, count), "n": 2, "sigma": sigma, "alpha": []}
+
+
+def past_the_place_budgets() -> dict:
+    """Per op, (rank, bound, payload): on the trivial group the sha1 cone has
+    rank r(|S| - 1), and the level-s place module of split-sim rank r|S|."""
+    return {
+        "sha1": (MAX_CONE_RANK + 1, MAX_CONE_RANK, {"scenario": _one_point_places(MAX_CONE_RANK + 1, 2)}),
+        "split-sim": (MAX_LEVEL_RANK + 1, MAX_LEVEL_RANK, _one_point_tower(1, MAX_LEVEL_RANK + 1)),
+    }
+
+
+@pytest.mark.parametrize("op", sorted(past_the_place_budgets()))
+def test_place_data_past_the_budget_is_too_large(tmp_path, capsys, op):
+    rank, bound, payload = past_the_place_budgets()[op]
+    path = write(tmp_path, "in.json", payload)
+    started = time.perf_counter()
+    code, body, _ = run_cli(capsys, [op, path])
+    assert time.perf_counter() - started < 1
+    assert code == 1 and body["error"]["code"] == "TOO_LARGE"
+    assert f"rank {rank}, over the bound of {bound}" in body["error"]["message"]
+
+
+def test_a_cone_at_the_bound_is_built(tmp_path, capsys):
+    path = write(tmp_path, "in.json", {"scenario": _one_point_places(MAX_CONE_RANK, 2)})
+    code, body, _ = run_cli(capsys, ["sha1", path])
+    assert code == 0 and body["result"]["agree"] is True
+
+
+def test_a_level_at_the_bound_is_built(tmp_path, capsys, monkeypatch):
+    # the Klein tower builds a level of rank (set_sizes[-1] - 1) * 3; with the
+    # bound moved to that rank it answers, and one below it is refused
+    from tatekit import tower
+
+    path = write(tmp_path, "in.json", klein_tower([1]))
+    code, body, _ = run_cli(capsys, ["split-sim", path])
+    level = (int(body["result"]["set_sizes"][-1]) - 1) * 3
+    monkeypatch.setattr(tower, "MAX_LEVEL_RANK", level)
+    assert run_cli(capsys, ["split-sim", path])[:2] == (code, body)
+    monkeypatch.setattr(tower, "MAX_LEVEL_RANK", level - 1)
+    code, body, _ = run_cli(capsys, ["split-sim", path])
+    assert code == 1 and body["error"]["code"] == "TOO_LARGE"
+    assert f"rank {level}, over the bound of {level - 1}" in body["error"]["message"]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from tatekit import cli
 from tatekit.serial import MAX_MODULE_RANK
+from test_cli import past_the_place_budgets
 from test_tooling import _one_payload_per_op
 
 PAYLOADS = _one_payload_per_op()
@@ -112,13 +113,15 @@ def _module_of_rank(table, rank) -> dict:
     return {"group": {"mul_table": table}, "module": {"rank": rank}}
 
 
+KNOWN_MUTATIONS = [
+    ("tate", _module_of_rank([[0, 1], [1, 0]], 10**40)),
+    ("tate", _module_of_rank([[0]], 10**40)),
+    ("tate", _module_of_rank([[0]], MAX_MODULE_RANK + 1)),
+] + [(op, payload) for op, (_, _, payload) in sorted(past_the_place_budgets().items())]
+
+
 @pytest.mark.parametrize(
-    "payload",
-    [
-        _module_of_rank([[0, 1], [1, 0]], 10**40),
-        _module_of_rank([[0]], 10**40),
-        _module_of_rank([[0]], MAX_MODULE_RANK + 1),
-    ],
+    "op,payload", KNOWN_MUTATIONS, ids=[f"payload{i}" for i in range(len(KNOWN_MUTATIONS))]
 )
-def test_a_known_mutation_gets_a_report(payload):
-    _assert_a_report(*_run("tate", json.dumps(payload)))
+def test_a_known_mutation_gets_a_report(op, payload):
+    _assert_a_report(*_run(op, json.dumps(payload)))

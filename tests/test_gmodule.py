@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from tatekit.abgroup import cokernel
+from tatekit.abgroup import INFINITE, InducedMap, LatticeQuotient, cokernel
 from tatekit.errors import SubgroupMismatchError
 from tatekit.gmodule import (
     _cayley_walk,
@@ -30,7 +30,6 @@ from tatekit.gmodule import (
     invariants,
     klein_four,
     module_from_generators,
-    norm_induced_map,
     norm_matrix,
     permutation_module,
     pullback_module,
@@ -525,6 +524,36 @@ def test_order_annihilates_h_minus1(corpus, data):
         assert (g.order * hm.project(vec)).is_zero()
 
 
+def tate_corpus(corpus):
+    """(label, module): the trivial module of rank 2, the augmentation kernel,
+    and it plus the trivial module of rank 1, of every corpus group, on the
+    whole group and restricted to <g> for its first six elements g."""
+    for name, g in corpus.items():
+        aug = augmentation_kernel_module(g)
+        for mname, m in (
+            ("triv2", trivial_module(g, 2)),
+            ("aug", aug),
+            ("aug+triv1", direct_sum_modules([aug, trivial_module(g, 1)])),
+        ):
+            yield f"{name}/{mname}", m
+            for x in list(g.elements())[:6]:
+                yield f"{name}/{mname}/<{x}>", restrict_module(m, generated_subgroup(g, [x]))
+
+
+def test_h_minus1_is_the_kernel_of_the_norm_on_coinvariants(corpus):
+    # the kernel of the verified norm map M_G -> M^G holds only torsion
+    # classes and has the order of the torsion of M_G, so it is all of it
+    count = 0
+    for label, m in tate_corpus(corpus):
+        co = coinvariants(m)
+        fixed = LatticeQuotient(m.rank, invariants(m), IntMatrix.zeros(m.rank, 0))
+        kernel = InducedMap(co, fixed, norm_matrix(m)).kernel()
+        assert all(co.project(v).order() is not INFINITE for v in kernel.generator_vectors()), label
+        assert kernel.group.size() == tate_h_minus1(m).group.size(), label
+        count += 1
+    assert count == 432
+
+
 # -- transfer --------------------------------------------------------------
 
 
@@ -668,8 +697,7 @@ def test_tate_h0_reuses_the_invariants_tate_h_minus1_computed(monkeypatch):
         return real(a, rows)
 
     module = augmentation_kernel_module(klein_four())
-    for cached in (norm_induced_map, tate_h_minus1):
-        cached.cache_clear()
+    tate_h_minus1.cache_clear()
     monkeypatch.setattr(gmodule, "kernel_basis", spy)
     tate_h_minus1(module)
     tate_h0(module)

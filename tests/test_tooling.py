@@ -150,6 +150,34 @@ def _one_payload_per_op() -> dict:
     }
 
 
+# the sha256 of the report of each ``_one_payload_per_op()`` job: a change to
+# any report's bytes must edit this table
+REPORT_DIGESTS = {
+    "counterexample-local": "31d30af9d2c70abf9b2a1a2f41744f2bc602d20ad71e3133e2f2f306784e0713",
+    "exponents": "19efc657499b5b6c160fa4e377bdd6104c804bed36f5c4a49b149b149b2cce27",
+    "quad-sub": "22d4db92b74ad14fc7aeb8415ee233c2c7b92453352c90a31ab861f2fe7f9899",
+    "sha1": "a35620c6a9971c5f59f6d6b16d354dd7cdcf6351f011f65881aaabcf55fc948e",
+    "snf": "4605206b89336c40f79a1d6e87df486e930e061f59254fc082573779619a788b",
+    "split-sim": "56cf16fc938dce0b08bc53e2014a04e739a46dd81795e9c8613b85b7d2478d2b",
+    "subgroup-bound": "b059f48cee085c309f964bcbfbfe6cab1f1793249c5fc0106de4fe1dfe4056a4",
+    "tate": "f54232b36346e85115290a467de6f30c6cdb23ee5e00b2d091d87bc424a504b5",
+    "tate-obstruction": "9ace299192ea7d0a359d15bb9d055b1465c91b2783f9e45e4c04b3cafd2e9016",
+    "teichmuller": "304eaf87b4d15d64232e4455abe71bce9d05db02267f3550e1436c272e5063ca",
+    "transfer": "80f1fe55625a8ee05d6126e6e98315e5e7e771b365b61b3247d483e94066f2e1",
+}
+
+
+def test_every_op_prints_the_report_it_printed(tmp_path, monkeypatch):
+    monkeypatch.delenv("TATEKIT_PRECISION", raising=False)
+    digests = {}
+    for op, payload in _one_payload_per_op().items():
+        src, out = tmp_path / f"{op}.json", tmp_path / f"{op}.out.json"
+        src.write_text(json.dumps(payload))
+        assert tatekit.cli.main([op, str(src), "--out", str(out)]) == 0, out.read_text()
+        digests[op] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == REPORT_DIGESTS
+
+
 def test_the_cli_loads_no_introspection_module_at_import_or_in_a_job(tmp_path):
     payloads = _one_payload_per_op()
     assert set(payloads) == set(tatekit.cli._HANDLERS)
