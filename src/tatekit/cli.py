@@ -20,13 +20,23 @@ from __future__ import annotations
 import os
 import sys
 from functools import cache
+from math import isqrt
 from types import SimpleNamespace
 
 from . import __version__, serial
 from .abgroup import class_in
-from .errors import CoordinateLengthError, DomainError, Frozen, SchemaError, TatekitError, TheoremViolationError
+from .errors import (
+    CoordinateLengthError,
+    DomainError,
+    Frozen,
+    SchemaError,
+    TatekitError,
+    TheoremViolationError,
+    TooLargeError,
+)
 from .gmodule import coinvariants, tate_h0, tate_h_minus1, transfer
 from .local import (
+    DEFAULT_PRECISION,
     TameExtDescriptor,
     quadratic_subextension_with_trace,
     residue_field,
@@ -37,15 +47,14 @@ from .periodindex import verify_counterexample_local
 from .sha import sha1_forms, tate_obstruction
 from .tower import degree_exponents, simulate_splitting_tower, subgroup_bound_check
 
-DEFAULT_PRECISION = 8
+# the largest _snf_cost the snf op accepts: about 2 s for the whole op on a 2-core Xeon
+MAX_SNF_COST = 10**9
 
 
 class Job(Frozen):
     """One operation and its JSON payload; immutable."""
 
-    def __init__(self, op: str, payload: dict):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "payload", payload)
+    _fields = ("op", "payload")
 
 
 def _group_dict(group) -> dict:
@@ -60,8 +69,31 @@ def _group_dict(group) -> dict:
 # -- handlers; each returns (result, trace) ---------------------------------
 
 
+def _snf_cost(mat) -> int:
+    """The snf op's cost, estimated from the shape and the entry bits before
+    it runs: (2m^2 + mn + n^2) * (k^2 * w * isqrt(w) + 400) for an m x n
+    matrix with k = min(m, n) pivots and w = 4 + the largest entry's bit
+    length.
+
+    Each pivot's passes run over the rows of s, u and u^-1 and the columns
+    of v and v^-1, whose entries grow with k and w; the constant term is the
+    building and printing of the transforms, which dominates when k is
+    small.  The weights are fitted to the op's time on random matrices.
+    """
+    m, n = mat.rows, mat.cols
+    k = min(m, n)
+    w = 4 + max((x.bit_length() for row in mat.entries for x in row), default=0)
+    return (2 * m * m + m * n + n * n) * (k * k * w * isqrt(w) + 400)
+
+
 def _op_snf(payload: dict):
     mat = serial.load_matrix(payload.get("matrix"), "input.matrix")
+    cost = _snf_cost(mat)
+    if cost > MAX_SNF_COST:
+        raise TooLargeError(
+            f"the Smith form of a {mat.rows} x {mat.cols} matrix has an estimated cost of {cost}, "
+            f"over the bound of {MAX_SNF_COST}"
+        )
     sf = smith_normal_form(mat)
     result = {
         "diagonal": list(sf.diagonal),
@@ -305,8 +337,8 @@ def _op_split_sim(payload: dict):
     trace = [
         "product_subgroup",
         "cardinality_scan",
-        "build_place_module[level_s]",
         "sha1_cone",
+        "build_place_module[level_s]",
         "section/collapse certification",
         "sigma_power_sum",
         "transfer",

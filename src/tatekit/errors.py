@@ -13,10 +13,35 @@ because every module imports this one.
 class Frozen:
     """Refuses assignment and deletion of attributes with AttributeError.
 
-    Subclasses write their fields once, in ``__init__``, through
-    ``object.__setattr__``; ``functools.cached_property`` still fills its
-    slot, since it writes the instance ``__dict__`` directly.
+    A record names its fields once, in ``_fields``, and inherits ``__init__``:
+    the fields come by position or keyword, a field left out takes the class
+    attribute of its name, and an unknown, repeated or missing field or an
+    extra positional argument raises TypeError.  A record that checks its
+    input hands its fields on through ``super().__init__``.  The eight types
+    that key lru caches write theirs in their own ``__init__``, through
+    ``object.__setattr__``, which is faster where inner loops build them.
+    ``functools.cached_property`` still fills its slot, since it writes the
+    instance ``__dict__`` directly.
     """
+
+    _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} has {len(fields)} fields, got {len(args)} positional arguments")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__} got field {name!r} twice")
+            values[name] = value
+        for name in fields:
+            if name not in values and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+            self.__dict__[name] = values[name] if name in values else getattr(cls, name)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -413,6 +413,8 @@ def quotient_group(parent: FiniteGroup, normal: Subgroup) -> tuple[FiniteGroup, 
 class PermAction(Frozen):
     """Action of a finite group on points 0..degree-1, table of images; immutable."""
 
+    _fields = ("group", "degree", "images")
+
     def __init__(self, group: FiniteGroup, degree: int, images: tuple[tuple[int, ...], ...]):
         g = group
         if len(images) != g.order or any(len(p) != degree for p in images):
@@ -431,9 +433,7 @@ class PermAction(Frozen):
                 ps, pas = images[s], images[g.mul(a, s)]
                 if any(pa[ps[x]] != pas[x] for x in range(degree)):
                     raise ValueError("not a group action")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "images", images)
+        super().__init__(group, degree, images)
 
     def act(self, g: int, x: int) -> int:
         return self.images[g][x]

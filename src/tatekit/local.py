@@ -41,6 +41,8 @@ MAX_FIELD_DEGREE = 6
 # bits of the lift modulus p^precision; keeps report integers far below the
 # interpreter's int/str conversion limit and a lift well under a second
 MAX_LIFT_BITS = 4096
+# the p-adic precision of a multiplicative lift when no caller names one
+DEFAULT_PRECISION = 8
 
 
 class SquareClass(Enum):
@@ -190,10 +192,7 @@ def _least_irreducible(p: int, r: int) -> tuple[int, ...]:
 class ResidueField(Frozen):
     """F_{p^r} with elements as coefficient tuples of length r; immutable."""
 
-    def __init__(self, p: int, r: int, modulus: tuple[int, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "modulus", modulus)
+    _fields = ("p", "r", "modulus")
 
     @property
     def size(self) -> int:
@@ -269,17 +268,17 @@ def residue_field(p: int, r: int = 1) -> ResidueField:
 class TruncatedElement(Frozen):
     """Integer approximation of a p-adic number modulo p^precision; immutable."""
 
+    _fields = ("p", "precision", "value")
+
     def __init__(self, p: int, precision: int, value: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "value", value % p**precision)
+        super().__init__(p, precision, value % p**precision)
 
     @property
     def modulus(self) -> int:
         return self.p**self.precision
 
 
-def teichmuller_lift(alpha, field: ResidueField, precision: int = 8) -> TruncatedElement:
+def teichmuller_lift(alpha, field: ResidueField, precision: int = DEFAULT_PRECISION) -> TruncatedElement:
     """Multiplicative lift of a nonzero residue, computed by Frobenius iteration.
 
     The sequence x, x^p, x^(p^2), ... modulo p^precision is eventually
@@ -351,11 +350,9 @@ class TameExtDescriptor(Frozen):
     Immutable.
     """
 
-    def __init__(self, f: int, e: int, alpha: tuple[int, ...] | int = 1, wild_exponent: int = 0):
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "wild_exponent", wild_exponent)
+    _fields = ("f", "e", "alpha", "wild_exponent")
+    alpha = 1
+    wild_exponent = 0
 
 
 def quadratic_subextension(desc: TameExtDescriptor, field: ResidueField) -> SquareClass:

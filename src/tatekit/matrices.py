@@ -163,12 +163,7 @@ class SmithForm(Frozen):
     and is an empty 0 x 0 matrix here (see ``smith_normal_form``).
     """
 
-    def __init__(self, u: IntMatrix, s: IntMatrix, v: IntMatrix, u_inv: IntMatrix, v_inv: IntMatrix):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "u_inv", u_inv)
-        object.__setattr__(self, "v_inv", v_inv)
+    _fields = ("u", "s", "v", "u_inv", "v_inv")
 
     @property
     def diagonal(self) -> tuple[int, ...]:

@@ -72,51 +72,19 @@ class BranchWitness(Frozen):
     quadratic extension the hypothetical splitting field could contain.
     """
 
-    def __init__(
-        self,
-        square_class: SquareClass,
-        valuation: int,
-        unit_residue: tuple[int, ...],
-        restriction_nonzero: bool,
-        transfer_vector: tuple[int, ...],
-        restriction_order: int,
-        splits_over_quartic: bool,
-        conclusion: str,
-    ):
-        object.__setattr__(self, "square_class", square_class)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "unit_residue", unit_residue)
-        object.__setattr__(self, "restriction_nonzero", restriction_nonzero)
-        object.__setattr__(self, "transfer_vector", transfer_vector)
-        object.__setattr__(self, "restriction_order", restriction_order)
-        object.__setattr__(self, "splits_over_quartic", splits_over_quartic)
-        object.__setattr__(self, "conclusion", conclusion)
+    _fields = (
+        "square_class", "valuation", "unit_residue", "restriction_nonzero", "transfer_vector", "restriction_order",
+        "splits_over_quartic", "conclusion"
+    )
 
 
 class CounterexampleReport(Frozen):
     """What ``verify_counterexample_local`` certifies; immutable."""
 
-    def __init__(
-        self,
-        p: int,
-        q: int,
-        period: int,
-        index_divisibility: int,
-        component_orders: tuple[int, ...],
-        h1_invariant_factors: tuple[int, ...],
-        product_invariant_factors: tuple[int, ...],
-        branches: tuple[BranchWitness, ...],
-        imported_rules: tuple[str, ...],
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "index_divisibility", index_divisibility)
-        object.__setattr__(self, "component_orders", component_orders)
-        object.__setattr__(self, "h1_invariant_factors", h1_invariant_factors)
-        object.__setattr__(self, "product_invariant_factors", product_invariant_factors)
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "imported_rules", imported_rules)
+    _fields = (
+        "p", "q", "period", "index_divisibility", "component_orders", "h1_invariant_factors",
+        "product_invariant_factors", "branches", "imported_rules"
+    )
 
 
 def _branch_data(field: ResidueField) -> list[tuple[SquareClass, int, tuple[int, ...]]]:

@@ -225,14 +225,7 @@ def load_tower(obj, where: str = "input") -> tuple[TowerConfig, tuple[int, ...]]
             gens.append(parse_ints(pair, f"{where}.sigma[{i}].generators[{j}]"))
         sigma.append((label, tuple(gens)))
     alpha = parse_ints(obj.get("alpha", []), f"{where}.alpha")
-    extra = obj.get("extra_label", "w")
-    if not isinstance(extra, str) or not extra:
-        raise SchemaError(f"{where}.extra_label: expected a non-empty string")
-    try:
-        cfg = TowerConfig(data, n, tuple(sigma), extra)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-    return cfg, alpha
+    return TowerConfig(data, n, tuple(sigma)), alpha
 
 
 # -- emission ---------------------------------------------------------------

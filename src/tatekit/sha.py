@@ -142,21 +142,7 @@ class PlaceModule(Frozen):
     [w*rank, (w+1)*rank).  Immutable.
     """
 
-    def __init__(
-        self,
-        data: GlobalData,
-        action: PermAction,
-        fibers: tuple[PermAction, ...],
-        points: tuple[tuple[str, int], ...],
-        sub: GModule,
-        basis: IntMatrix,
-    ):
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "fibers", fibers)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "basis", basis)
+    _fields = ("data", "action", "fibers", "points", "sub", "basis")
 
     def fiber(self, label: str) -> tuple[int, ...]:
         return tuple(i for i, (lab, _) in enumerate(self.points) if lab == label)
@@ -178,24 +164,14 @@ def build_place_module(data: GlobalData) -> PlaceModule:
     return PlaceModule(data, action, tuple(fibers), tuple(points), sub, basis)
 
 
-class ShaResult:
+class ShaResult(Frozen):
     """Kernel of a localization-style map out of (M[S]_0)_{Theta,Tors}.
 
     ``generators`` are lattice vectors on the degree-zero basis of M[S]_0,
     whichever presentation ``kernel`` and ``domain`` come from.
     """
 
-    def __init__(
-        self,
-        group_invariants: tuple[int, ...],
-        kernel: LatticeQuotient,
-        domain: LatticeQuotient,
-        generators: tuple[tuple[int, ...], ...],
-    ):
-        self.group_invariants = group_invariants
-        self.kernel = kernel
-        self.domain = domain
-        self.generators = generators
+    _fields = ("group_invariants", "kernel", "domain", "generators")
 
     @property
     def order(self) -> int:
@@ -574,22 +550,10 @@ def sha1_forms(data: GlobalData) -> tuple[ShaResult, ShaResult, bool]:
 # -- obstruction to the existence of a global class ----------------------
 
 
-class GlobalClassResult:
+class GlobalClassResult(Frozen):
     """The verdict of ``tate_obstruction``, with the sum it read it from."""
 
-    def __init__(
-        self,
-        exists: bool,
-        obstruction: AbElement,
-        target_invariants: tuple[int, ...],
-        contributions: tuple[tuple[str, tuple[int, ...]], ...],
-        local_classes: tuple[tuple[str, tuple[int, ...]], ...],
-    ):
-        self.exists = exists
-        self.obstruction = obstruction
-        self.target_invariants = target_invariants
-        self.contributions = contributions
-        self.local_classes = local_classes
+    _fields = ("exists", "obstruction", "target_invariants", "contributions", "local_classes")
 
     @property
     def verdict(self) -> str:
@@ -627,7 +591,7 @@ def tate_obstruction(data: GlobalData, local_classes) -> GlobalClassResult:
 # -- pushforward along a tower level --------------------------------------
 
 
-class PushforwardResult:
+class PushforwardResult(Frozen):
     """Certificate for the comparison map between two levels of place data.
 
     ``beta`` collapses each orbit of the intermediate subgroup to one place;
@@ -636,27 +600,10 @@ class PushforwardResult:
     identity exactly on the certified instances.
     """
 
-    def __init__(
-        self,
-        hypothesis_holds: bool,
-        fixed_points: tuple[tuple[int, int | None], ...],
-        beta: InducedMap,
-        section: InducedMap,
-        beta_after_section_id: bool,
-        section_after_beta_id: bool,
-        orbit_count: int,
-        source_invariants: tuple[int, ...],
-        target_invariants: tuple[int, ...],
-    ):
-        self.hypothesis_holds = hypothesis_holds
-        self.fixed_points = fixed_points
-        self.beta = beta
-        self.section = section
-        self.beta_after_section_id = beta_after_section_id
-        self.section_after_beta_id = section_after_beta_id
-        self.orbit_count = orbit_count
-        self.source_invariants = source_invariants
-        self.target_invariants = target_invariants
+    _fields = (
+        "hypothesis_holds", "fixed_points", "beta", "section", "beta_after_section_id", "section_after_beta_id",
+        "orbit_count", "source_invariants", "target_invariants"
+    )
 
     @property
     def iso_certified(self) -> bool:

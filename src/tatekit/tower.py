@@ -101,12 +101,7 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
 class SubgroupBoundReport(Frozen):
     """sub(G) against |G|^lam for one group; immutable."""
 
-    def __init__(self, group_order: int, lam: int, subgroup_count: int, bound: int, holds: bool):
-        object.__setattr__(self, "group_order", group_order)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "subgroup_count", subgroup_count)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "holds", holds)
+    _fields = ("group_order", "lam", "subgroup_count", "bound", "holds")
 
 
 def subgroup_bound_check(group: FiniteGroup) -> SubgroupBoundReport:
@@ -131,11 +126,7 @@ class ExponentTriple(Frozen):
     Immutable.
     """
 
-    def __init__(self, theta_order: int, lam: int, rho: int, d: int):
-        object.__setattr__(self, "theta_order", theta_order)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "d", d)
+    _fields = ("theta_order", "lam", "rho", "d")
 
 
 def degree_exponents(theta_order: int) -> ExponentTriple:
@@ -165,13 +156,7 @@ class ProductSubgroup(Frozen):
     then pure gcd arithmetic.  Immutable.
     """
 
-    def __init__(
-        self, theta: FiniteGroup, members_theta: tuple[int, ...], defect_gcd: int, values: tuple[int, ...]
-    ):
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "members_theta", members_theta)
-        object.__setattr__(self, "defect_gcd", defect_gcd)
-        object.__setattr__(self, "values", values)
+    _fields = ("theta", "members_theta", "defect_gcd", "values")
 
     def step_at(self, m: int) -> int:
         """Step of the intersection of the image in Theta x Z/m with 1 x Z/m."""
@@ -233,18 +218,15 @@ class TowerConfig(Frozen):
 
     ``sigma`` assigns to every place of ``data`` the generators of its
     decomposition subgroup at the top level, as pairs (theta element, cyclic
-    exponent).  The auxiliary place ``extra_label`` with decomposition
-    1 x Z/n^(r-1) is adjoined internally; intermediate levels are derived by
+    exponent).  An auxiliary place with decomposition 1 x Z/n^(r-1) is
+    adjoined internally, under a label no place of ``data`` carries
+    (:func:`_auxiliary_label`); intermediate levels are derived by
     reduction, never stored.  Immutable.
     """
 
-    def __init__(
-        self,
-        data: GlobalData,
-        n: int,
-        sigma: tuple[tuple[str, tuple[tuple[int, int], ...]], ...],
-        extra_label: str = "w",
-    ):
+    _fields = ("data", "n", "sigma")
+
+    def __init__(self, data: GlobalData, n: int, sigma: tuple[tuple[str, tuple[tuple[int, int], ...]], ...]):
         if n < 1:
             raise DomainError("tower degree must be positive")
         if not data.places:
@@ -253,15 +235,10 @@ class TowerConfig(Frozen):
         expected = [p.label for p in data.places]
         if sorted(labels) != sorted(expected) or len(set(labels)) != len(labels):
             raise DomainError("sigma assignments must cover each place exactly once")
-        if extra_label in set(expected):
-            raise DomainError("auxiliary place label collides with an existing place")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "extra_label", extra_label)
+        super().__init__(data, n, sigma)
 
 
-def default_tower_config(data: GlobalData, n: int, extra_label: str = "w") -> TowerConfig:
+def default_tower_config(data: GlobalData, n: int) -> TowerConfig:
     """Assign each place the subgroup generated by (h, 1) over its generators.
 
     A trivial decomposition group gets (identity, 1) so the place still has
@@ -273,13 +250,22 @@ def default_tower_config(data: GlobalData, n: int, extra_label: str = "w") -> To
         if not gens:
             gens = [data.theta.identity]
         sigma.append((p.label, tuple((g, 1) for g in gens)))
-    return TowerConfig(data, n, tuple(sigma), extra_label)
+    return TowerConfig(data, n, tuple(sigma))
+
+
+def _auxiliary_label(data: GlobalData) -> str:
+    """``w``, primed until no place of ``data`` carries it."""
+    labels = {p.label for p in data.places}
+    label = "w"
+    while label in labels:
+        label += "'"
+    return label
 
 
 # -- the simulation ---------------------------------------------------------
 
 
-class SimulationReport:
+class SimulationReport(Frozen):
     """Everything the tower run certifies, in one record.
 
     ``cardinality_sequence`` counts places level by level up to ``chosen_s``
@@ -289,45 +275,11 @@ class SimulationReport:
     exponent) pairs since the actual numbers can be astronomically large.
     """
 
-    def __init__(
-        self,
-        theta_order: int,
-        n: int,
-        tower_length: int,
-        chosen_s: int,
-        cardinality_sequence: tuple[int, ...],
-        set_sizes: tuple[int, ...],
-        effective_exponent: int,
-        effective_group_order: int,
-        alpha1: tuple[int, ...],
-        alpha1_nonzero: bool,
-        alpha_mid: tuple[int, ...],
-        alpha_top: tuple[int, ...],
-        transfer_vanished: bool,
-        action_images_coincide: bool,
-        mid_transfer_is_mult_n: bool,
-        iso_certified: bool,
-        splitting_degree: tuple[int, int],
-        bound: tuple[int, int],
-    ):
-        self.theta_order = theta_order
-        self.n = n
-        self.tower_length = tower_length
-        self.chosen_s = chosen_s
-        self.cardinality_sequence = cardinality_sequence
-        self.set_sizes = set_sizes
-        self.effective_exponent = effective_exponent
-        self.effective_group_order = effective_group_order
-        self.alpha1 = alpha1
-        self.alpha1_nonzero = alpha1_nonzero
-        self.alpha_mid = alpha_mid
-        self.alpha_top = alpha_top
-        self.transfer_vanished = transfer_vanished
-        self.action_images_coincide = action_images_coincide
-        self.mid_transfer_is_mult_n = mid_transfer_is_mult_n
-        self.iso_certified = iso_certified
-        self.splitting_degree = splitting_degree
-        self.bound = bound
+    _fields = (
+        "theta_order", "n", "tower_length", "chosen_s", "cardinality_sequence", "set_sizes", "effective_exponent",
+        "effective_group_order", "alpha1", "alpha1_nonzero", "alpha_mid", "alpha_top", "transfer_vanished",
+        "action_images_coincide", "mid_transfer_is_mult_n", "iso_certified", "splitting_degree", "bound"
+    )
 
     @property
     def alpha_trace(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -423,7 +375,7 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
         PlaceDatum(p.label, subgroup(geff, tops[p.label].members_at(e)))
         for p in data.places
     ]
-    eff_places.append(PlaceDatum(cfg.extra_label, subgroup(geff, w_top.members_at(e))))
+    eff_places.append(PlaceDatum(_auxiliary_label(data), subgroup(geff, w_top.members_at(e))))
     data_s = GlobalData(geff, meff, tuple(eff_places))
     pm_s = build_place_module(data_s)
 

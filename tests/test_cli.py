@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from tatekit import cli
 from tatekit.errors import TheoremViolationError, TransferNonzeroError
 from tatekit.gmodule import augmentation_kernel_module, cyclic, klein_four
 from tatekit.local import MAX_LIFT_BITS
+from tatekit.matrices import IntMatrix
 from tatekit.serial import MAX_MODULE_RANK
 from tatekit.sha import MAX_CONE_RANK
 from tatekit.tower import MAX_LEVEL_RANK, MAX_RHO_BITS
@@ -258,6 +260,18 @@ def test_split_sim_op(tmp_path, capsys):
     assert res["alpha1_nonzero"] is True
     assert res["splitting_degree"] == {"base": "2", "exponent": "2"}
     assert res["bound"] == {"base": "2", "exponent": "49"}
+
+
+def test_the_tower_labels_its_auxiliary_place_apart_from_the_base_places(tmp_path, capsys):
+    # no report names the auxiliary place, so relabelling the base places to
+    # the auxiliary place's usual label and its first alternative changes nothing
+    code, plain, _ = run_cli(capsys, ["split-sim", write(tmp_path, "plain.json", klein_tower([1]))])
+    payload = klein_tower([1])
+    for i, label in enumerate(["w", "w'"]):
+        payload["scenario"]["places"][i]["label"] = payload["sigma"][i]["label"] = label
+    code, body, _ = run_cli(capsys, ["split-sim", write(tmp_path, "w.json", payload)])
+    assert code == 0, body
+    assert body["result"] == plain["result"]
 
 
 # -- failure modes -------------------------------------------------------------
@@ -854,6 +868,41 @@ def test_a_cone_at_the_bound_is_built(tmp_path, capsys):
     path = write(tmp_path, "in.json", {"scenario": _one_point_places(MAX_CONE_RANK, 2)})
     code, body, _ = run_cli(capsys, ["sha1", path])
     assert code == 0 and body["result"]["agree"] is True
+
+
+def past_the_snf_budget() -> dict:
+    """A 100 x 100 matrix with random entries in [-9, 9]: its Smith form
+    alone took 15.7 s, with transform entries of up to 29,215 bits."""
+    rng = random.Random(100)
+    return {"matrix": [[rng.randint(-9, 9) for _ in range(100)] for _ in range(100)]}
+
+
+def test_a_matrix_past_the_snf_budget_is_too_large(tmp_path, capsys):
+    path = write(tmp_path, "in.json", past_the_snf_budget())
+    started = time.perf_counter()
+    code, body, _ = run_cli(capsys, ["snf", path])
+    assert time.perf_counter() - started < 1
+    assert code == 1 and body["error"]["code"] == "TOO_LARGE"
+    cost = cli._snf_cost(IntMatrix.from_rows(past_the_snf_budget()["matrix"]))
+    assert cost > cli.MAX_SNF_COST
+    assert f"estimated cost of {cost}, over the bound of {cli.MAX_SNF_COST}" in body["error"]["message"]
+
+
+def test_a_matrix_at_the_snf_budget_answers(tmp_path, capsys, monkeypatch):
+    # a 24 x 24 matrix, the largest shape of ops-mix; with the bound moved to
+    # its estimate it answers as before, and one below it is refused
+    rows = [[(5 * i + 11 * j + i * j) % 19 - 9 for j in range(24)] for i in range(24)]
+    path = write(tmp_path, "in.json", {"matrix": rows})
+    code, body, _ = run_cli(capsys, ["snf", path])
+    assert code == 0
+    cost = cli._snf_cost(IntMatrix.from_rows(rows))
+    assert cost <= cli.MAX_SNF_COST
+    monkeypatch.setattr(cli, "MAX_SNF_COST", cost)
+    assert run_cli(capsys, ["snf", path])[:2] == (code, body)
+    monkeypatch.setattr(cli, "MAX_SNF_COST", cost - 1)
+    code, body, _ = run_cli(capsys, ["snf", path])
+    assert code == 1 and body["error"]["code"] == "TOO_LARGE"
+    assert f"estimated cost of {cost}, over the bound of {cost - 1}" in body["error"]["message"]
 
 
 def test_a_level_at_the_bound_is_built(tmp_path, capsys, monkeypatch):

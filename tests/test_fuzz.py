@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from tatekit import cli
 from tatekit.serial import MAX_MODULE_RANK
-from test_cli import past_the_place_budgets
+from test_cli import past_the_place_budgets, past_the_snf_budget
 from test_tooling import _one_payload_per_op
 
 PAYLOADS = _one_payload_per_op()
@@ -118,6 +118,7 @@ KNOWN_MUTATIONS = [
     ("tate", _module_of_rank([[0]], 10**40)),
     ("tate", _module_of_rank([[0]], MAX_MODULE_RANK + 1)),
 ] + [(op, payload) for op, (_, _, payload) in sorted(past_the_place_budgets().items())]
+KNOWN_MUTATIONS.append(("snf", past_the_snf_budget()))
 
 
 @pytest.mark.parametrize(

@@ -158,13 +158,23 @@ REPORT_DIGESTS = {
     "quad-sub": "22d4db92b74ad14fc7aeb8415ee233c2c7b92453352c90a31ab861f2fe7f9899",
     "sha1": "a35620c6a9971c5f59f6d6b16d354dd7cdcf6351f011f65881aaabcf55fc948e",
     "snf": "4605206b89336c40f79a1d6e87df486e930e061f59254fc082573779619a788b",
-    "split-sim": "56cf16fc938dce0b08bc53e2014a04e739a46dd81795e9c8613b85b7d2478d2b",
+    "split-sim": "5649b3aedd91c6d001021dec2db718510e4acaad9f92dd7817a1fa566c13caad",
     "subgroup-bound": "b059f48cee085c309f964bcbfbfe6cab1f1793249c5fc0106de4fe1dfe4056a4",
     "tate": "f54232b36346e85115290a467de6f30c6cdb23ee5e00b2d091d87bc424a504b5",
     "tate-obstruction": "9ace299192ea7d0a359d15bb9d055b1465c91b2783f9e45e4c04b3cafd2e9016",
     "teichmuller": "304eaf87b4d15d64232e4455abe71bce9d05db02267f3550e1436c272e5063ca",
     "transfer": "80f1fe55625a8ee05d6126e6e98315e5e7e771b365b61b3247d483e94066f2e1",
 }
+
+
+def test_every_ops_mix_snf_shape_is_within_the_snf_budget(monkeypatch):
+    # the benchmark's snf jobs draw entries in [-9, 9]; a refused one would
+    # be a failed job
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    workloads = _perfbench(TRACER.with_name("workloads.py"))
+    for rows, cols in workloads.SNF_SHAPES:
+        worst = IntMatrix(rows, cols, ((-9,) * cols,) * rows)
+        assert tatekit.cli._snf_cost(worst) <= tatekit.cli.MAX_SNF_COST, (rows, cols)
 
 
 def test_every_op_prints_the_report_it_printed(tmp_path, monkeypatch):
@@ -239,13 +249,16 @@ def test_no_op_runs_the_dense_forms(tmp_path, monkeypatch):
 
 def _entered_by_the_ops_and_the_readme_scripts(tmp_path, monkeypatch) -> set:
     """Code objects entered by one job of each op and the README commands,
-    each run in process from cold caches."""
+    each run in process from cold caches, and the classes whose instances an
+    ``__init__`` built."""
     caches = _perfbench(TRACER.with_name("worker.py")).lru_caches
     entered = set()
 
     def profile(frame, event, arg):
         if event == "call":
             entered.add(frame.f_code)
+            if frame.f_code.co_name == "__init__" and "self" in frame.f_locals:
+                entered.add(type(frame.f_locals["self"]))
 
     def run(fn, *args):
         for cache in caches():
@@ -283,7 +296,8 @@ def _imported_from_tatekit(path: Path) -> set:
 
 def _codes(obj) -> set:
     """What entering ``obj`` means: its function's code, or for a class the
-    code of any function, property or method its body defines."""
+    code of any function, property or method its body defines (building an
+    instance of exactly that class counts too, see the caller)."""
     while hasattr(obj, "__wrapped__"):
         obj = obj.__wrapped__
     if not isinstance(obj, type):
@@ -316,6 +330,6 @@ def test_every_public_callable_is_reached_by_an_op_a_readme_script_or_the_benchm
             obj = getattr(module, name)
             if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
                 continue
-            if id(obj) not in named and not _codes(obj) & entered:
+            if id(obj) not in named and obj not in entered and not _codes(obj) & entered:
                 unreached.append(f"{path.stem}.{name}")
     assert not unreached, f"reached by no op, README script, benchmark or criterion: {unreached}"

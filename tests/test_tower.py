@@ -215,8 +215,6 @@ def test_config_validation():
         TowerConfig(data, 2, good[:2])  # one place missing
     with pytest.raises(DomainError):
         TowerConfig(data, 2, good + good[:1])
-    with pytest.raises(DomainError):
-        TowerConfig(data, 2, good, extra_label="v1")
     bare = GlobalData(data.theta, data.module, ())
     with pytest.raises(DomainError):
         TowerConfig(bare, 2, ())
@@ -302,7 +300,7 @@ def _level_data(cfg, e) -> GlobalData:
     meff = pullback_module(cfg.data.module, geff, tuple(g // e for g in range(geff.order)))
     sigma = dict(cfg.sigma)
     gens = [(p.label, sigma[p.label]) for p in cfg.data.places]
-    gens.append((cfg.extra_label, ((theta.identity, 1),)))
+    gens.append((tower._auxiliary_label(cfg.data), ((theta.identity, 1),)))
     places = [PlaceDatum(label, subgroup(geff, product_subgroup(theta, g).members_at(e))) for label, g in gens]
     return GlobalData(geff, meff, tuple(places))
 
@@ -311,9 +309,8 @@ def _point_by_point(cfg, data_s, e):
     """The base level with one auxiliary point per element of Theta, and the
     section (rho -> rho * e) and collapse (g -> g // e) built point by point."""
     theta = cfg.data.theta
-    data_f = GlobalData(
-        theta, cfg.data.module, cfg.data.places + (PlaceDatum(cfg.extra_label, subgroup(theta, [theta.identity])),)
-    )
+    aux = PlaceDatum(tower._auxiliary_label(cfg.data), subgroup(theta, [theta.identity]))
+    data_f = GlobalData(theta, cfg.data.module, cfg.data.places + (aux,))
     pm_f, pm_s = build_place_module(data_f), build_place_module(data_s)
     eye = IntMatrix.identity(cfg.data.module.rank)
 

@@ -1,9 +1,10 @@
-"""Value semantics of the types used as cache keys, and immutability of the
-frozen value types.
+"""Value semantics of the types used as cache keys, immutability of the
+frozen value types, and the shared initializer of the records.
 
 Eight types compare and hash by their fields, because lru caches are keyed
 by them; every other type compares by identity.  The frozen types refuse
-assignment and deletion of any attribute.
+assignment and deletion of any attribute.  Every other frozen type declares
+its fields once, in ``_fields``, and is built by ``Frozen.__init__``.
 """
 
 import pytest
@@ -18,14 +19,22 @@ from tatekit.gmodule import (
     coinvariants,
     coset_action,
     cyclic,
+    generated_subgroup,
     module_from_generators,
     subgroup,
+    trivial_module,
 )
 from tatekit.local import TameExtDescriptor, residue_field, teichmuller_lift
 from tatekit.matrices import IntMatrix, smith_normal_form
 from tatekit.periodindex import verify_counterexample_local
-from tatekit.sha import GlobalData, PlaceDatum, build_place_module
-from tatekit.tower import default_tower_config, degree_exponents, product_subgroup, subgroup_bound_check
+from tatekit.sha import GlobalData, PlaceDatum, build_place_module, lemma_pushforward, sha1_cone, tate_obstruction
+from tatekit.tower import (
+    default_tower_config,
+    degree_exponents,
+    product_subgroup,
+    simulate_splitting_tower,
+    subgroup_bound_check,
+)
 
 
 def z4():
@@ -135,6 +144,9 @@ def _frozen_instances():
     sub = subgroup(g, [0, 2])
     data = GlobalData(z4(), quarter_turn(), (place(),))
     report = verify_counterexample_local(5)
+    half = generated_subgroup(g, [2])
+    places = (PlaceDatum("v", subgroup(g, [0])), PlaceDatum("u", subgroup(g, [0])))
+    tower = default_tower_config(GlobalData(g, trivial_module(g, 1), places), 2)
     return [
         IntMatrix.from_rows([[1, 2]]),
         smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]])),
@@ -157,6 +169,10 @@ def _frozen_instances():
         product_subgroup(g, [(1, 1)]),
         default_tower_config(data, 2),
         cli.Job("exponents", {"theta_order": 4}),
+        sha1_cone(data),
+        tate_obstruction(data, {}),
+        lemma_pushforward(g, half, trivial_module(g, 1), coset_action(g, half)),
+        simulate_splitting_tower(tower, (0,)),
     ]
 
 
@@ -165,7 +181,7 @@ FROZEN = _frozen_instances()
 
 def test_every_frozen_value_type_is_covered_once():
     types = [type(x) for x in FROZEN]
-    assert len(set(types)) == len(types) == 21
+    assert len(set(types)) == len(types) == 25
     assert all(issubclass(t, Frozen) for t in types)
 
 
@@ -183,3 +199,48 @@ def test_a_frozen_value_refuses_assignment_and_deletion(obj):
     with pytest.raises(AttributeError):
         obj.no_such_field = 1
     assert not hasattr(obj, "no_such_field")
+
+
+RECORDS = [x for x in FROZEN if x.__class__._fields]
+
+
+def test_every_frozen_type_but_the_cache_keys_is_a_record():
+    assert {type(x) for x in FROZEN} - {type(x) for x in RECORDS} == set(VALUE_TYPES)
+    assert len(RECORDS) == 17
+
+
+@pytest.mark.parametrize("obj", RECORDS, ids=lambda x: type(x).__name__)
+def test_a_record_is_built_from_its_fields_by_position_or_keyword(obj):
+    cls = type(obj)
+    fields = {name: getattr(obj, name) for name in cls._fields}
+    values = list(fields.values())
+    by_position, by_keyword = cls(*values), cls(**fields)
+    # only the declared fields, until a cached property is read
+    assert vars(by_position) == vars(by_keyword) == fields
+    assert list(vars(by_keyword)) == list(cls._fields)
+    first = cls._fields[0]
+    with pytest.raises(TypeError):
+        cls(**fields, no_such_field=None)
+    with pytest.raises(TypeError):
+        cls(**{name: value for name, value in fields.items() if name != first})
+    with pytest.raises(TypeError):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+
+def test_a_record_field_left_out_takes_its_class_default():
+    assert vars(TameExtDescriptor(1, 2)) == {"f": 1, "e": 2, "alpha": 1, "wild_exponent": 0}
+    assert vars(TameExtDescriptor(3, 2, wild_exponent=1)) == {"f": 3, "e": 2, "alpha": 1, "wild_exponent": 1}
+    with pytest.raises(TypeError):
+        TameExtDescriptor(1)
+
+
+def test_a_cached_property_is_written_beside_the_fields():
+    g = cyclic(4)
+    half = generated_subgroup(g, [2])
+    res = lemma_pushforward(g, half, trivial_module(g, 1), coset_action(g, half))
+    assert list(vars(res)) == list(res._fields)
+    kernel = res.kernel
+    assert list(vars(res)) == [*res._fields, "kernel"]
+    assert res.kernel is kernel
