@@ -154,9 +154,6 @@ class AbElement(Frozen):
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def order(self):
-        return element_order(self)
-
 
 def class_in(group: FinAbGroup, x, field: str) -> AbElement:
     """``x`` as an element of ``group``: an element of it, or its coordinates.
@@ -338,11 +335,8 @@ class InducedMap:
         if not target._all_zero_classes(self._w @ source.rel_in_basis):
             raise ValueError("map does not send relations to relations")
 
-    def apply(self, x: AbElement) -> AbElement:
-        return self.target.project(self.matrix.mul_vec(self.source.lift(x)))
-
     def __call__(self, x: AbElement) -> AbElement:
-        return self.apply(x)
+        return self.target.project(self.matrix.mul_vec(self.source.lift(x)))
 
     def kernel(self) -> LatticeQuotient:
         """Kernel as a subquotient presented inside the source ambient space

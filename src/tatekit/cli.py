@@ -4,11 +4,11 @@ Every subcommand reads one JSON payload (a file path or ``-`` for stdin),
 runs the corresponding library operation, and prints a canonical report:
 sorted keys, integers as decimal strings, a sha256 digest of the canonical
 input, the package version, and the list of operations the derivation went
-through.  ``run`` executes a job object ``{"op": ..., "input": ...}`` and
-``run --batch`` a whole file of them, one after another in file order.
-A plain command line is read without argparse; any other spelling, help and
-``--version`` go to the full argparse parser, which alone prints usage and
-errors.
+through.  ``run --batch`` executes a file of job objects
+``{"op": ..., "input": ...}``, one after another in file order.  A report is
+a function of its payload alone.  A plain command line is read without
+argparse; any other spelling, help and ``--version`` go to the full argparse
+parser, which alone prints usage and errors.
 
 Exit codes: 0 on success, 1 when the input is outside an operation's domain
 (including parse and schema problems), 2 when a certified statement fails
@@ -17,7 +17,6 @@ to verify, which indicates corrupted inputs or a genuine bug.
 
 from __future__ import annotations
 
-import os
 import sys
 from functools import cache
 from math import isqrt
@@ -187,28 +186,10 @@ def _op_counterexample(payload: dict):
     return result, trace
 
 
-def _env_precision() -> int:
-    raw = os.environ.get("TATEKIT_PRECISION", str(DEFAULT_PRECISION))
-    try:
-        precision = int(raw)
-    except ValueError:
-        raise DomainError(f"TATEKIT_PRECISION must be an integer, got {raw!r}") from None
-    if precision < 1:
-        raise DomainError("TATEKIT_PRECISION must be positive")
-    return precision
-
-
 def _op_teichmuller(payload: dict):
-    # the only op that reads TATEKIT_PRECISION; it is validated even when the
-    # payload gives its own precision
-    env_precision = _env_precision()
     p = serial.parse_int(payload.get("p"), "input.p")
     alpha = serial.parse_int(payload.get("alpha"), "input.alpha")
-    precision = (
-        serial.parse_int(payload["precision"], "input.precision")
-        if "precision" in payload
-        else env_precision
-    )
+    precision = serial.parse_int(payload.get("precision", DEFAULT_PRECISION), "input.precision")
     field = residue_field(p)
     lift = teichmuller_lift(alpha, field, precision)
     digits = []
@@ -361,7 +342,7 @@ _HANDLERS = {
 }
 
 
-def parse_job(obj, where: str = "job") -> Job:
+def parse_job(obj, where: str) -> Job:
     obj = serial.expect_dict(obj, where)
     op = obj.get("op")
     if op not in _HANDLERS:
@@ -370,14 +351,16 @@ def parse_job(obj, where: str = "job") -> Job:
 
 
 def run_job(job: Job) -> dict:
+    """The job's report, encoded once, here: an integer too long to print
+    fails this job with ``TooLargeError``, not the writing of its report."""
     result, trace = _HANDLERS[job.op](job.payload)
-    return {
+    return serial.encode({
         "version": __version__,
         "op": job.op,
         "input_digest": serial.input_digest(job.payload),
         "result": result,
         "trace": trace,
-    }
+    })
 
 
 def _error_body(exc: TatekitError) -> dict:
@@ -399,7 +382,8 @@ def _read_payload(path: str) -> str:
 
 
 def _emit(body: dict, out: str | None) -> None:
-    text = serial.canonical_dumps(body) + "\n"
+    """Write an encoded body (see ``run_job``) as one canonical line."""
+    text = serial.dumps(body) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -434,14 +418,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         if name == "run":
-            sp = sub.add_parser(name, help="execute a job object {op, input}, or a batch of them")
-            sp.add_argument("input", nargs="?", help="path to a job JSON, or - for stdin")
-            sp.add_argument("--batch", help="path to a {jobs: [...]} file; jobs run in order")
+            sp = sub.add_parser(name, help="execute a batch of job objects {op, input}, in order")
+            sp.add_argument("--batch", required=True, help="path to a {jobs: [...]} file, or - for stdin")
         else:
             sp = sub.add_parser(name, help=f"run the {name} operation on a JSON payload")
             sp.add_argument("input", help="path to a JSON payload, or - for stdin")
         sp.add_argument("--out", help="write the report to this file instead of stdout")
-        sp.add_argument("--trace", action="store_true", help="echo derivation steps to stderr")
     return parser
 
 
@@ -450,33 +432,28 @@ def _is_plain(token: str) -> bool:
 
 
 def _read_plain_line(argv: list[str]) -> SimpleNamespace | None:
-    """The full parser's fields for ``<op> INPUT`` or ``run [INPUT] [--batch FILE]``,
-    each with ``[--out FILE] [--trace]`` in any order; None for any other line.
+    """The full parser's fields for ``<op> INPUT`` or ``run --batch FILE``,
+    each with ``[--out FILE]``, options in any order; None for any other line.
 
     It declines spellings argparse also accepts (``--out=FILE``, abbreviations,
     ``--``, a value starting with ``-``, a repeated ``--out`` or ``--batch``).
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
-    args = {"command": argv[0], "input": None, "out": None, "trace": False}
-    if argv[0] == "run":
-        args["batch"] = None
+    source = "batch" if argv[0] == "run" else "input"
+    args = {"command": argv[0], source: None, "out": None}
     tokens = iter(argv[1:])
     for token in tokens:
-        if token == "--trace":
-            args["trace"] = True
-        elif token in ("--out", "--batch") and args.get(token[2:], "") is None:  # declared, unset
+        if token in ("--out", "--batch") and args.get(token[2:], "") is None:  # declared, unset
             value = next(tokens, "--")  # a missing value is declined like an option
             if not _is_plain(value):
                 return None
             args[token[2:]] = value
-        elif _is_plain(token) and args["input"] is None:
+        elif _is_plain(token) and args.get("input", "") is None:
             args["input"] = token
         else:
             return None
-    if args["input"] is None and argv[0] != "run":
-        return None
-    return SimpleNamespace(**args)
+    return None if args[source] is None else SimpleNamespace(**args)
 
 
 def _parse_args(argv: list[str]):
@@ -485,12 +462,7 @@ def _parse_args(argv: list[str]):
     return _read_plain_line(argv) or _build_parser().parse_args(argv)
 
 
-def _echo_trace(body: dict) -> None:
-    for step in body.get("trace", []):
-        sys.stderr.write(f"# {step}\n")
-
-
-def _run_batch(path: str, out: str | None, trace: bool) -> int:
+def _run_batch(path: str, out: str | None) -> int:
     obj = serial.load_json(_read_payload(path))
     obj = serial.expect_dict(obj, "batch")
     raw_jobs = obj.get("jobs")
@@ -507,9 +479,6 @@ def _run_batch(path: str, out: str | None, trace: bool) -> int:
     outcomes = [run_one(job) for job in jobs]
     body = {"version": __version__, "reports": [b for b, _ in outcomes]}
     _emit(body, out)
-    if trace:
-        for b, _ in outcomes:
-            _echo_trace(b)
     return max((c for _, c in outcomes), default=0)
 
 
@@ -517,23 +486,13 @@ def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.command == "run":
-            if args.batch and args.input:
-                raise DomainError("give either a single job or --batch, not both")
-            if args.batch:
-                return _run_batch(args.batch, args.out, args.trace)
-            if not args.input:
-                raise DomainError("run needs a job file or --batch")
-            job = parse_job(serial.load_json(_read_payload(args.input)))
-        else:
-            payload = serial.load_json(_read_payload(args.input))
-            job = Job(args.command, serial.expect_dict(payload, "input"))
-        report = run_job(job)
+            return _run_batch(args.batch, args.out)
+        payload = serial.load_json(_read_payload(args.input))
+        report = run_job(Job(args.command, serial.expect_dict(payload, "input")))
     except TatekitError as exc:
-        _emit(_error_body(exc), getattr(args, "out", None))
+        _emit(_error_body(exc), args.out)
         return _exit_code(exc)
     _emit(report, args.out)
-    if args.trace:
-        _echo_trace(report)
     return 0
 
 

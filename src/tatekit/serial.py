@@ -9,6 +9,7 @@ payloads serialize to identical bytes and digests are stable.
 from __future__ import annotations
 
 import json
+import sys
 
 from .errors import ParseError, SchemaError, TooLargeError
 from .gmodule import (
@@ -27,6 +28,7 @@ from .tower import TowerConfig
 __all__ = [
     "MAX_MODULE_RANK",
     "canonical_dumps",
+    "dumps",
     "encode",
     "expect_dict",
     "expect_list",
@@ -233,15 +235,23 @@ def load_tower(obj, where: str = "input") -> tuple[TowerConfig, tuple[int, ...]]
 
 def encode(value):
     """Recursively convert to JSON-safe data with stringified integers; a
-    float, which only a payload key that no op reads can hold, stays as is."""
+    float, which only a payload key that no op reads can hold, stays as is.
+    An integer past the interpreter's digit limit raises ``TooLargeError``."""
     if isinstance(value, (bool, float)):
         return value
     if isinstance(value, int):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:
+            bits, limit = value.bit_length(), sys.get_int_max_str_digits()
+            raise TooLargeError(f"an integer of {bits} bits is past the interpreter's {limit}-digit limit") from None
     if isinstance(value, str) or value is None:
         return value
     if isinstance(value, IntMatrix):
-        return [[str(x) for x in row] for row in value.entries]
+        try:
+            return [[str(x) for x in row] for row in value.entries]
+        except ValueError:  # entry by entry, so that the int branch names the one past the limit
+            return encode([list(row) for row in value.entries])
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -249,8 +259,13 @@ def encode(value):
     raise TypeError(f"cannot encode {type(value).__name__}")
 
 
+def dumps(data) -> str:
+    """Canonical JSON of already encoded data: sorted keys, tight separators."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_dumps(value) -> str:
-    return json.dumps(encode(value), sort_keys=True, separators=(",", ":"))
+    return dumps(encode(value))
 
 
 def input_digest(value) -> str:

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from tatekit import cli
-from tatekit.errors import TheoremViolationError, TransferNonzeroError
+from tatekit import cli, serial
+from tatekit.errors import TheoremViolationError, TooLargeError, TransferNonzeroError
 from tatekit.gmodule import augmentation_kernel_module, cyclic, klein_four
-from tatekit.local import MAX_LIFT_BITS
+from tatekit.local import DEFAULT_PRECISION, MAX_LIFT_BITS
 from tatekit.matrices import IntMatrix
 from tatekit.serial import MAX_MODULE_RANK
 from tatekit.sha import MAX_CONE_RANK
@@ -121,13 +121,6 @@ def test_stdin_and_out_file(tmp_path, capsys, monkeypatch):
     assert body["result"] == {"theta_order": "4", "lam": "2", "rho": "49", "d": "52"}
 
 
-def test_trace_goes_to_stderr(tmp_path, capsys):
-    path = write(tmp_path, "m.json", {"matrix": [[1]]})
-    code, _, err = run_cli(capsys, ["snf", path, "--trace"])
-    assert code == 0
-    assert err == "# smith_normal_form\n"
-
-
 def test_tate_and_transfer_ops(tmp_path, capsys):
     payload = {
         "group": {"mul_table": mul_table(cyclic(4))},
@@ -163,26 +156,21 @@ def test_counterexample_op(tmp_path, capsys):
     assert all(b["restriction_nonzero"] is True for b in res["branches"])
 
 
-def test_teichmuller_uses_env_precision(tmp_path, capsys, monkeypatch):
-    path = write(tmp_path, "t.json", {"p": 5, "alpha": 2})
-    monkeypatch.setenv("TATEKIT_PRECISION", "3")
+def test_teichmuller_reads_its_precision_from_the_payload(tmp_path, capsys):
+    path = write(tmp_path, "t.json", {"p": 5, "alpha": 2, "precision": 3})
     code, body, _ = run_cli(capsys, ["teichmuller", path])
     assert code == 0
     assert body["result"]["precision"] == "3"
     assert body["result"]["value"] == "57"
     assert body["result"]["digits"] == ["2", "1", "2"]  # 57 = 2 + 1*5 + 2*25
 
-    # explicit payload precision wins over the environment
-    path = write(tmp_path, "t2.json", {"p": 5, "alpha": 2, "precision": 2})
+    path = write(tmp_path, "t2.json", {"p": 5, "alpha": 2})
     _, body, _ = run_cli(capsys, ["teichmuller", path])
-    assert body["result"]["value"] == "7"
+    assert body["result"]["precision"] == str(DEFAULT_PRECISION) == "8"
 
-    monkeypatch.setenv("TATEKIT_PRECISION", "zero")
+    path = write(tmp_path, "t3.json", {"p": 5, "alpha": 2, "precision": "zero"})
     code, body, _ = run_cli(capsys, ["teichmuller", path])
-    assert code == 1 and body["error"]["code"] == "DOMAIN_ERROR"
-    monkeypatch.setenv("TATEKIT_PRECISION", "0")
-    code, body, _ = run_cli(capsys, ["teichmuller", path])
-    assert code == 1
+    assert code == 1 and body["error"]["code"] == "SCHEMA_ERROR"
 
 
 def test_quad_sub_op(tmp_path, capsys):
@@ -431,31 +419,15 @@ def test_usage_errors_exit_one(argv, capsys):
     assert err.startswith("usage: tatekit") and "error: " in err
 
 
-# -- run and batch ---------------------------------------------------------------
-
-
-def test_run_single_job(tmp_path, capsys):
-    path = write(tmp_path, "job.json", {"op": "exponents", "input": {"theta_order": 2}})
-    code, body, _ = run_cli(capsys, ["run", path])
-    assert code == 0
-    assert body["op"] == "exponents"
-    assert body["result"]["rho"] == "3"
+# -- batches -----------------------------------------------------------------------
 
 
 def test_run_rejects_unknown_op(tmp_path, capsys):
-    path = write(tmp_path, "job.json", {"op": "frobnicate", "input": {}})
-    code, body, _ = run_cli(capsys, ["run", path])
+    path = write(tmp_path, "batch.json", {"jobs": [{"op": "frobnicate", "input": {}}]})
+    code, body, _ = run_cli(capsys, ["run", "--batch", path])
     assert code == 1
     assert body["error"]["code"] == "SCHEMA_ERROR"
-
-
-def test_run_needs_exactly_one_source(tmp_path, capsys):
-    code, body, _ = run_cli(capsys, ["run"])
-    assert code == 1 and body["error"]["code"] == "DOMAIN_ERROR"
-    job = write(tmp_path, "job.json", {"op": "exponents", "input": {"theta_order": 2}})
-    batch = write(tmp_path, "batch.json", {"jobs": []})
-    code, body, _ = run_cli(capsys, ["run", job, "--batch", batch])
-    assert code == 1 and body["error"]["code"] == "DOMAIN_ERROR"
+    assert body["error"]["message"].startswith("batch.jobs[0].op: ")
 
 
 def test_batch_preserves_order_and_aggregates_exit(tmp_path, capsys):
@@ -547,18 +519,12 @@ def test_parser_survives_a_rejected_command_line(tmp_path, capsys):
 
 VALID_ARGVS = (
     [[name, "in.json"] for name in cli._HANDLERS]
-    + [[name, "-", "--out", "o.json", "--trace"] for name in cli._HANDLERS]
-    + [[name, "--trace", "in.json"] for name in cli._HANDLERS]
     + [
         ["snf", "in.json", "--out", "-"],
         ["snf", "in.json", "--out", ""],
-        ["snf", "--trace", "in.json", "--trace"],
-        ["run"],
-        ["run", "job.json"],
-        ["run", "-", "--trace"],
-        ["run", "--batch", "b.json", "--out", "o.json", "--trace"],
-        ["run", "job.json", "--batch", "b.json"],
-        ["run", "--batch", "b.json", "job.json"],
+        ["snf", "--out", "o.json", "-"],
+        ["run", "--batch", "b.json"],
+        ["run", "--out", "o.json", "--batch", "-"],
     ]
 )
 
@@ -609,7 +575,12 @@ REJECTED_OR_HELP_ARGVS = (
         ["snf", "in.json", "--no-such-flag"],
         ["run", "--batch", "b.json", "--no-such-flag"],
         ["run", "--batch"],
+        ["run"],
+        ["run", "job.json"],
+        ["run", "job.json", "--batch", "b.json"],
         ["snf", "in.json", "extra"],
+        ["snf", "--trace", "in.json"],
+        ["snf", "in.json", "--tr"],
         ["run", "job.json", "extra"],
         ["frobnicate", "in.json"],
         ["sn", "in.json"],
@@ -628,7 +599,7 @@ REJECTED_OR_HELP_ARGVS = (
 ARGPARSE_ONLY_ARGVS = [
     ["snf", "--out=o.json", "in.json"],
     ["snf", "in.json", "--ou", "o.json"],
-    ["snf", "in.json", "--tr"],
+    ["run", "--bat", "b.json"],
     ["snf", "--", "in.json"],
     ["snf", "-5"],
     ["snf", "in.json", "--out", "a", "--out", "b"],
@@ -719,62 +690,20 @@ def _timed_teichmuller(capsys, path):
     return result, time.perf_counter() - started
 
 
-def test_lift_precision_past_the_bound_is_too_large(tmp_path, capsys, monkeypatch):
+def test_lift_precision_past_the_bound_is_too_large(tmp_path, capsys):
     path = write(tmp_path, "t.json", {"p": 5, "alpha": 2, "precision": "10000"})
     (code, body, _), seconds = _timed_teichmuller(capsys, path)
     assert code == 1 and body["error"]["code"] == "TOO_LARGE" and seconds < 1
     assert "30000" in body["error"]["message"]
     assert str(MAX_LIFT_BITS) in body["error"]["message"]
 
-    monkeypatch.setenv("TATEKIT_PRECISION", "10000")
-    path = write(tmp_path, "t2.json", {"p": 5, "alpha": 2})
-    (code, body, _), seconds = _timed_teichmuller(capsys, path)
-    assert code == 1 and body["error"]["code"] == "TOO_LARGE" and seconds < 1
 
-
-def test_lift_precision_at_the_bound_succeeds(tmp_path, capsys, monkeypatch):
+def test_lift_precision_at_the_bound_succeeds(tmp_path, capsys):
     under = MAX_LIFT_BITS // 3  # 5 has three bits
     path = write(tmp_path, "t.json", {"p": 5, "alpha": 2, "precision": under})
     code, body, _ = run_cli(capsys, ["teichmuller", path])
     assert code == 0 and body["result"]["precision"] == str(under)
-
-    monkeypatch.setenv("TATEKIT_PRECISION", str(under))
-    path = write(tmp_path, "t2.json", {"p": 5, "alpha": 2})
-    code, body, _ = run_cli(capsys, ["teichmuller", path])
-    assert code == 0 and len(body["result"]["digits"]) == under
-
-
-def test_ops_that_read_no_precision_ignore_a_malformed_env_precision(tmp_path, capsys, monkeypatch):
-    jobs = [
-        ("snf", write(tmp_path, "m.json", {"matrix": [[2, 4], [6, 8]]})),
-        ("sha1", write(tmp_path, "s.json", {"scenario": klein_scenario()})),
-    ]
-    monkeypatch.delenv("TATEKIT_PRECISION", raising=False)
-    expected = []
-    for op, path in jobs:
-        assert cli.main([op, path]) == 0
-        expected.append(capsys.readouterr().out)
-    monkeypatch.setenv("TATEKIT_PRECISION", "zero")
-    for (op, path), out in zip(jobs, expected):
-        assert cli.main([op, path]) == 0
-        assert capsys.readouterr().out == out
-
-
-def test_batch_keeps_its_reports_beside_a_malformed_env_precision(tmp_path, capsys, monkeypatch):
-    jobs = {
-        "jobs": [
-            {"op": "snf", "input": {"matrix": [[2, 4], [6, 8]]}},
-            {"op": "teichmuller", "input": {"p": 5, "alpha": 2}},
-        ]
-    }
-    path = write(tmp_path, "batch.json", jobs)
-    monkeypatch.setenv("TATEKIT_PRECISION", "zero")
-    code, body, _ = run_cli(capsys, ["run", "--batch", path])
-    assert code == 1
-    first, second = body["reports"]
-    assert first["result"]["diagonal"] == ["2", "4"]
-    assert second["op"] == "teichmuller"
-    assert second["error"] == {"code": "DOMAIN_ERROR", "message": "TATEKIT_PRECISION must be an integer, got 'zero'"}
+    assert len(body["result"]["digits"]) == under
 
 
 def test_exponents_past_the_rho_bound_is_too_large(tmp_path, capsys):
@@ -886,6 +815,33 @@ def test_a_matrix_past_the_snf_budget_is_too_large(tmp_path, capsys):
     cost = cli._snf_cost(IntMatrix.from_rows(past_the_snf_budget()["matrix"]))
     assert cost > cli.MAX_SNF_COST
     assert f"estimated cost of {cost}, over the bound of {cli.MAX_SNF_COST}" in body["error"]["message"]
+
+
+def past_the_digit_limit() -> dict:
+    """A 2 x 2 matrix of random 12,000-bit entries: inside the snf budget, but
+    its determinant, the last diagonal entry, has about 7,200 decimal digits."""
+    rng = random.Random(12000)
+    return {"matrix": [[str(rng.getrandbits(12000)) for _ in range(2)] for _ in range(2)]}
+
+
+def test_a_report_integer_past_the_digit_limit_is_too_large(tmp_path, capsys):
+    matrix = IntMatrix.from_rows([[int(x) for x in row] for row in past_the_digit_limit()["matrix"]])
+    assert cli._snf_cost(matrix) <= cli.MAX_SNF_COST
+    code, body, _ = run_cli(capsys, ["snf", write(tmp_path, "in.json", past_the_digit_limit())])
+    assert code == 1 and body["error"]["code"] == "TOO_LARGE"
+    assert " bits " in body["error"]["message"]
+    assert str(sys.get_int_max_str_digits()) in body["error"]["message"]
+    with pytest.raises(TooLargeError, match="an integer of 20001 bits"):  # a transform entry
+        serial.encode(IntMatrix.from_rows([[0, 1 << 20000]]))
+
+
+def test_batch_keeps_its_reports_beside_a_report_past_the_digit_limit(tmp_path, capsys):
+    jobs = {"jobs": [{"op": "exponents", "input": {"theta_order": 4}}, {"op": "snf", "input": past_the_digit_limit()}]}
+    out = tmp_path / "out.json"
+    assert cli.main(["run", "--batch", write(tmp_path, "batch.json", jobs), "--out", str(out)]) == 1
+    first, second = json.loads(out.read_text())["reports"]
+    assert first["result"]["rho"] == "49"
+    assert second["op"] == "snf" and second["error"]["code"] == "TOO_LARGE"
 
 
 def test_a_matrix_at_the_snf_budget_answers(tmp_path, capsys, monkeypatch):

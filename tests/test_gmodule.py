@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from tatekit.abgroup import INFINITE, InducedMap, LatticeQuotient, cokernel
+from tatekit.abgroup import INFINITE, InducedMap, LatticeQuotient, cokernel, element_order
 from tatekit.errors import SubgroupMismatchError
 from tatekit.gmodule import (
     _cayley_walk,
@@ -548,7 +548,7 @@ def test_h_minus1_is_the_kernel_of_the_norm_on_coinvariants(corpus):
         co = coinvariants(m)
         fixed = LatticeQuotient(m.rank, invariants(m), IntMatrix.zeros(m.rank, 0))
         kernel = InducedMap(co, fixed, norm_matrix(m)).kernel()
-        assert all(co.project(v).order() is not INFINITE for v in kernel.generator_vectors()), label
+        assert all(element_order(co.project(v)) is not INFINITE for v in kernel.generator_vectors()), label
         assert kernel.group.size() == tate_h_minus1(m).group.size(), label
         count += 1
     assert count == 432

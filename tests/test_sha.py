@@ -458,7 +458,7 @@ def test_the_sha1_op_builds_no_place_module(corpus, monkeypatch):
         for data, factors in zip(scenarios, want):
             result = cli.run_job(cli.Job("sha1", _sha1_payload(data)))["result"]
             assert result["agree"] is True
-            assert result["s_form"]["invariant_factors"] == result["shapiro_form"]["invariant_factors"] == factors
+            assert result["s_form"]["invariant_factors"] == result["shapiro_form"]["invariant_factors"] == list(map(str, factors))
 
 
 def test_dropping_a_places_corestriction_breaks_the_agreement(monkeypatch):

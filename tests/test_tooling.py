@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -121,6 +122,29 @@ def test_the_readme_scripts_print_what_they_printed(argv, digest):
     assert hashlib.sha256(run.stdout).hexdigest() == digest
 
 
+def _run_block(source: str) -> tuple[dict, list]:
+    """Run a code block statement by statement: its namespace, and the value
+    of each bare expression, in order."""
+    namespace, values = {}, []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    return namespace, values
+
+
+def test_the_readme_quick_start_computes_what_its_comments_say():
+    first, second = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    _, values = _run_block(first)
+    assert values[:2] == [(2,), (2, 2)]
+    assert not values[2].is_zero()  # the transferred class
+    namespace, values = _run_block(second)
+    assert values == [(2,), (2,)]
+    forms = namespace["inclusion"], namespace["localization"]
+    assert [form.group_invariants for form in forms] == [(2,), (2,)] and namespace["agree"] is True
+
+
 # stdlib modules that only introspection and code generation need; the CLI
 # loads none of them, at import or while it runs a job
 INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
@@ -179,6 +203,21 @@ def test_every_ops_mix_snf_shape_is_within_the_snf_budget(monkeypatch):
 
 def test_every_op_prints_the_report_it_printed(tmp_path, monkeypatch):
     monkeypatch.delenv("TATEKIT_PRECISION", raising=False)
+    digests = {}
+    for op, payload in _one_payload_per_op().items():
+        src, out = tmp_path / f"{op}.json", tmp_path / f"{op}.out.json"
+        src.write_text(json.dumps(payload))
+        assert tatekit.cli.main([op, str(src), "--out", str(out)]) == 0, out.read_text()
+        digests[op] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == REPORT_DIGESTS
+
+
+def test_a_report_is_a_function_of_its_payload_alone(tmp_path, monkeypatch):
+    # no module reads the environment, so a variable an older CLI read moves
+    # no pinned report: teichmuller's default precision stays 8
+    for path in sorted((ROOT / "src" / "tatekit").glob("*.py")):
+        assert not re.search(r"environ|getenv", path.read_text()), path.name
+    monkeypatch.setenv("TATEKIT_PRECISION", "zero")
     digests = {}
     for op, payload in _one_payload_per_op().items():
         src, out = tmp_path / f"{op}.json", tmp_path / f"{op}.out.json"
