@@ -1,7 +1,9 @@
 """Exact integer linear algebra over finite group actions: coinvariant and
 norm-kernel computations for lattice modules, square classes of local fields,
 place-indexed kernels with their localization obstructions, and a
-splitting-tower simulator that certifies its own transfer computations.
+splitting-tower simulator whose gate e | n^(s-2) makes the middle transfer n
+and the full transfer n times the low one, so it computes one transfer and
+checks that the class dies as n * alpha_mid = 0.
 """
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .abgroup import AbElement, InducedMap, LatticeQuotient, class_in, cokernel, common_kernel
+from .abgroup import InducedMap, LatticeQuotient, class_in, cokernel, common_kernel
 from .errors import (
     DomainError,
     Frozen,
@@ -410,7 +410,7 @@ def sha1_homology(data: GlobalData) -> ShaResult:
     """
     if _degree_zero_is_zero(data):
         return _trivial_result()
-    cx = _cayley_complex(data.module)
+    cx = _cone_complex(data)
     cor = [_corestriction(cx, p.decomposition) for p in data.places]
     quotient = LatticeQuotient(cx.dim, kernel_basis(cx.d1), _side_by_side(cx.dim, [m.entries for m in [cx.b1, *cor]]))
     pts = _Points(data)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from tatekit import cli, gmodule, serial, sha
 from tatekit.abgroup import InducedMap, cokernel
-from tatekit.errors import CoordinateLengthError, DomainError, HypothesisFailError, UnknownPlaceError
+from tatekit.errors import CoordinateLengthError, DomainError, HypothesisFailError, TooLargeError, UnknownPlaceError
 from tatekit.gmodule import (
     augmentation_kernel_module,
     coinvariants,
@@ -517,6 +517,21 @@ def test_forms_without_place_modules_on_degenerate_data():
         assert sha.sha1_homology(data).order == sha.sha1_cone(data).order == 1
     three = GlobalData(one, trivial_module(one, 2), tuple(PlaceDatum(f"v{i}", full_subgroup(one)) for i in range(3)))
     assert_the_forms_without_place_modules_match(three)  # no generator, a free cone domain
+
+
+def test_every_cone_route_refuses_a_cone_past_the_budget(monkeypatch):
+    # Z2, a trivial rank-200 module and two places: the cone has rank
+    # 200 * (2 - 1 + 1) = 400, and no route builds its Cayley complex
+    def refuse(module):
+        raise AssertionError("the Cayley complex of an over-budget cone was built")
+
+    monkeypatch.setattr(sha, "_cayley_complex", refuse)
+    z2 = cyclic(2)
+    places = (PlaceDatum("v", subgroup(z2, [0])), PlaceDatum("u", full_subgroup(z2)))
+    data = GlobalData(z2, trivial_module(z2, 200), places)
+    for route in (sha.sha1_homology, sha.sha1_cone, sha.sha1_forms):
+        with pytest.raises(TooLargeError, match=f"rank 400, over the bound of {sha.MAX_CONE_RANK}$"):
+            route(data)
 
 
 # -- obstruction to gluing local classes --------------------------------------

@@ -372,3 +372,23 @@ def test_every_public_callable_is_reached_by_an_op_a_readme_script_or_the_benchm
             if id(obj) not in named and obj not in entered and not _codes(obj) & entered:
                 unreached.append(f"{path.stem}.{name}")
     assert not unreached, f"reached by no op, README script, benchmark or criterion: {unreached}"
+
+
+def test_every_module_uses_the_names_it_imports():
+    # a name imported and never read is dead code; the package's __init__
+    # re-exports, and a module's __all__ names its own exports
+    package = Path(importlib.import_module("tatekit").__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= set(getattr(importlib.import_module(f"tatekit.{path.stem}"), "__all__", ()))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "annotations" and name not in read:
+                        unused.append(f"{path.stem}:{node.lineno} {name}")
+    assert not unused, f"imported and never used: {unused}"

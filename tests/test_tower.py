@@ -13,6 +13,7 @@ from tatekit.errors import (
     DomainError,
     TheoremViolationError,
     TooLargeError,
+    TransferNonzeroError,
 )
 from tatekit.gmodule import (
     augmentation_kernel_module,
@@ -25,6 +26,7 @@ from tatekit.gmodule import (
     generated_subgroup,
     klein_four,
     pullback_module,
+    restrict_module,
     subgroup,
     torsion_coinvariants,
     trivial_module,
@@ -467,6 +469,65 @@ def test_the_pushforward_reads_the_level_module_from_the_cache(monkeypatch):
     sha.build_place_module.cache_clear()
     assert cli.run_job(cli.Job("split-sim", klein_tower([1])))["result"]["iso_certified"] is True
     assert seen == [(1, 1)]
+
+
+# -- the one transfer against the three it stands for ----------------------------
+
+
+def _plain_transfer(module, ident, e, count, stride):
+    """sum_{k < count} of the action of (1, k * stride mod e), term by term."""
+    total = IntMatrix.zeros(module.rank, module.rank)
+    for k in range(count):
+        total = total + module.act(ident + (k * stride) % e)
+    return total
+
+
+def test_the_one_transfer_is_the_low_mid_and_full_transfers(corpus):
+    # the op computes alpha_mid as one transfer and alpha_top as n times it;
+    # here the low, middle and full transfers of the tower are summed term by
+    # term and the classes are read through them
+    count = 0
+    for data, n0 in _alpha_corpus(corpus):
+        gens = sha.sha1_forms(data)[1].generators
+        for n in (n0, 2 * n0, 3 * n0):
+            cfg = default_tower_config(data, n)
+            for i in range(len(gens)):
+                rep = simulate_splitting_tower(cfg, tuple(int(j == i) for j in range(len(gens))))
+                s, e = rep.chosen_s, rep.effective_exponent
+                if n ** (s - 1) > 4096:
+                    continue
+                data_s = _level_data(cfg, e)
+                pm_s = build_place_module(data_s)
+                ident = data.theta.identity * e
+                t_low = _plain_transfer(pm_s.sub, ident, e, n ** (s - 2), 1)
+                t_mid = _plain_transfer(pm_s.sub, ident, e, n, n ** (s - 2))
+                t_full = _plain_transfer(pm_s.sub, ident, e, n ** (s - 1), 1)
+                assert t_mid == IntMatrix.identity(pm_s.sub.rank).scaled(n)
+                assert t_full == t_mid @ t_low
+                theta0 = subgroup(data_s.theta, [g for g in range(data_s.theta.order) if g % e == 0])
+                target = coinvariants(restrict_module(pm_s.sub, theta0))
+                dom1 = torsion_coinvariants(pm_s.sub)
+                alpha1 = dom1.lift(dom1.group.element(rep.alpha1))
+                assert rep.alpha_mid == target.project(t_low.mul_vec(alpha1)).coords, (data, n, i)
+                assert rep.alpha_top == target.project(t_full.mul_vec(alpha1)).coords, (data, n, i)
+                count += 1
+    assert count == 117
+
+
+def test_a_transfer_that_n_does_not_kill_exits_transfer_nonzero(monkeypatch, tmp_path, capsys):
+    # a transfer that adds a free class, which no multiple of n kills
+    def leaky(module, sub, x, source):
+        moved = gmodule.transfer(module, sub, x, source=source)
+        group = moved.group
+        assert group.ncoords > len(group.invariant_factors)
+        return moved + group.element((0,) * (group.ncoords - 1) + (1,))
+
+    monkeypatch.setattr(tower, "transfer", leaky)
+    with pytest.raises(TransferNonzeroError):
+        simulate_splitting_tower(default_tower_config(klein_data(), 2), (1,))
+    code, body, _ = run_cli(capsys, ["split-sim", write(tmp_path, "tower.json", klein_tower([1]))])
+    assert code == 2
+    assert body["error"]["code"] == "TRANSFER_NONZERO"
 
 
 # -- a failing comparison ------------------------------------------------------------
