@@ -2,13 +2,14 @@
 
 Every subcommand reads one JSON payload (a file path or ``-`` for stdin),
 runs the corresponding library operation, and prints a canonical report:
-sorted keys, integers as decimal strings, a sha256 digest of the canonical
-input, the package version, and the list of operations the derivation went
-through.  ``run --batch`` executes a file of job objects
-``{"op": ..., "input": ...}``, one after another in file order.  A report is
-a function of its payload alone.  A plain command line is read without
-argparse; any other spelling, help and ``--version`` go to the full argparse
-parser, which alone prints usage and errors.
+sorted keys, integers as decimal strings, the package version, the op, a
+sha256 digest of the canonical input, and the op's result; nothing else.
+``run --batch`` executes a file of job objects ``{"op": ..., "input": ...}``,
+one after another in file order.  A report is a function of its payload
+alone.  A plain command line is read without argparse; any other spelling,
+help and ``--version`` go to the full argparse parser, which alone prints
+usage and errors.  A report or error that cannot be written to ``--out``
+becomes a domain error, printed to stdout.
 
 Exit codes: 0 on success, 1 when the input is outside an operation's domain
 (including parse and schema problems), 2 when a certified statement fails
@@ -65,7 +66,7 @@ def _group_dict(group) -> dict:
     }
 
 
-# -- handlers; each returns (result, trace) ---------------------------------
+# -- handlers; each returns its report's result -----------------------------
 
 
 def _snf_cost(mat) -> int:
@@ -94,7 +95,7 @@ def _op_snf(payload: dict):
             f"over the bound of {MAX_SNF_COST}"
         )
     sf = smith_normal_form(mat)
-    result = {
+    return {
         "diagonal": list(sf.diagonal),
         "rank": sf.rank,
         "u": sf.u,
@@ -103,7 +104,6 @@ def _op_snf(payload: dict):
         "u_inv": sf.u_inv,
         "v_inv": sf.v_inv,
     }
-    return result, ["smith_normal_form"]
 
 
 def _load_group_module(payload: dict):
@@ -117,13 +117,12 @@ def _op_tate(payload: dict):
     co = coinvariants(module)
     h1 = tate_h_minus1(module)
     h0 = tate_h0(module)
-    result = {
+    return {
         "coinvariants": _group_dict(co.group),
         "h_minus1": _group_dict(h1.group),
         "h_minus1_generators": [list(v) for v in h1.generator_vectors()],
         "h0": _group_dict(h0.group),
     }
-    return result, ["coinvariants", "tate_h_minus1", "tate_h0"]
 
 
 def _op_transfer(payload: dict):
@@ -136,14 +135,13 @@ def _op_transfer(payload: dict):
     except CoordinateLengthError as exc:
         raise SchemaError(str(exc)) from None
     image = transfer(module, sub, x)
-    result = {
+    return {
         "source": _group_dict(co.group),
         "class": list(x.coords),
         "target": _group_dict(image.group),
         "transferred": list(image.coords),
         "nonzero": not image.is_zero(),
     }
-    return result, ["coinvariants", "transfer_matrix", "coinvariants[restriction]", "project"]
 
 
 def _op_counterexample(payload: dict):
@@ -153,7 +151,7 @@ def _op_counterexample(payload: dict):
     if not isinstance(trivial, bool):
         raise SchemaError("input.trivial_class: expected a boolean")
     report = verify_counterexample_local(p, q, trivial_class=trivial)
-    result = {
+    return {
         "p": report.p,
         "q": report.q,
         "period": report.period,
@@ -176,14 +174,6 @@ def _op_counterexample(payload: dict):
         ],
         "imported_rules": list(report.imported_rules),
     }
-    trace = [
-        "counterexample_torus",
-        "h1_local",
-        "transfer_matrix[index-two]",
-        "transfer[trivial]",
-        "validate_report",
-    ]
-    return result, trace
 
 
 def _op_teichmuller(payload: dict):
@@ -197,7 +187,7 @@ def _op_teichmuller(payload: dict):
     for _ in range(precision):
         digits.append(x % p)
         x //= p
-    result = {
+    return {
         "p": p,
         "alpha": alpha % p,
         "precision": precision,
@@ -205,7 +195,6 @@ def _op_teichmuller(payload: dict):
         "value": lift.value,
         "digits": digits,
     }
-    return result, ["residue_field", "teichmuller_lift"]
 
 
 def _op_quad_sub(payload: dict):
@@ -221,18 +210,17 @@ def _op_quad_sub(payload: dict):
     wild = serial.parse_int(payload.get("wild_exponent", 0), "input.wild_exponent")
     field = residue_field(p, r)
     cls, lines = quadratic_subextension_with_trace(TameExtDescriptor(f, e, alpha, wild), field)
-    result = {
+    return {
         "square_class": cls.label(),
         "is_unit_class": cls.is_unit,
         "derivation": lines,
     }
-    return result, ["residue_field", "quadratic_subextension"]
 
 
 def _op_sha1(payload: dict):
     data, _ = serial.load_scenario(payload.get("scenario"), "input.scenario")
     by_inclusion, by_local, agree = sha1_forms(data)
-    result = {
+    return {
         "s_form": {
             "invariant_factors": list(by_inclusion.group_invariants),
             "order": by_inclusion.order,
@@ -245,7 +233,6 @@ def _op_sha1(payload: dict):
         },
         "agree": agree,
     }
-    return result, ["sha1_cone", "sha1_homology"]
 
 
 def _op_obstruction(payload: dict):
@@ -256,7 +243,7 @@ def _op_obstruction(payload: dict):
         res = tate_obstruction(data, classes)
     except CoordinateLengthError as exc:
         raise SchemaError(f"input.scenario.{exc}") from None
-    result = {
+    return {
         "verdict": res.verdict,
         "exists": res.exists,
         "obstruction": list(res.obstruction.coords),
@@ -264,31 +251,28 @@ def _op_obstruction(payload: dict):
         "contributions": [[label, list(c)] for label, c in res.contributions],
         "local_classes": [[label, list(c)] for label, c in res.local_classes],
     }
-    return result, ["local_torsion_quotient", "tate_obstruction"]
 
 
 def _op_subgroup_bound(payload: dict):
     group = serial.load_group(payload.get("group"), "input.group")
     rep = subgroup_bound_check(group)
-    result = {
+    return {
         "group_order": rep.group_order,
         "lam": rep.lam,
         "subgroup_count": rep.subgroup_count,
         "bound": rep.bound,
         "holds": rep.holds,
     }
-    return result, ["enumerate_subgroups", "subgroup_bound_check"]
 
 
 def _op_exponents(payload: dict):
     triple = degree_exponents(serial.parse_int(payload.get("theta_order"), "input.theta_order"))
-    result = {
+    return {
         "theta_order": triple.theta_order,
         "lam": triple.lam,
         "rho": triple.rho,
         "d": triple.d,
     }
-    return result, ["degree_exponents"]
 
 
 def _op_split_sim(payload: dict):
@@ -297,7 +281,7 @@ def _op_split_sim(payload: dict):
         rep = simulate_splitting_tower(cfg, alpha)
     except CoordinateLengthError as exc:
         raise SchemaError(f"input.{exc}") from None
-    result = {
+    return {
         "theta_order": rep.theta_order,
         "n": rep.n,
         "tower_length": rep.tower_length,
@@ -315,16 +299,6 @@ def _op_split_sim(payload: dict):
         "splitting_degree": {"base": rep.splitting_degree[0], "exponent": rep.splitting_degree[1]},
         "bound": {"base": rep.bound[0], "exponent": rep.bound[1]},
     }
-    trace = [
-        "product_subgroup",
-        "cardinality_scan",
-        "sha1_cone",
-        "build_place_module[level_s]",
-        "section/collapse certification",
-        "sigma_power_sum",
-        "transfer",
-    ]
-    return result, trace
 
 
 _HANDLERS = {
@@ -353,13 +327,12 @@ def parse_job(obj, where: str) -> Job:
 def run_job(job: Job) -> dict:
     """The job's report, encoded once, here: an integer too long to print
     fails this job with ``TooLargeError``, not the writing of its report."""
-    result, trace = _HANDLERS[job.op](job.payload)
+    result = _HANDLERS[job.op](job.payload)
     return serial.encode({
         "version": __version__,
         "op": job.op,
         "input_digest": serial.input_digest(job.payload),
         "result": result,
-        "trace": trace,
     })
 
 
@@ -381,14 +354,21 @@ def _read_payload(path: str) -> str:
         raise DomainError(f"cannot read {path!r}: {exc}") from None
 
 
-def _emit(body: dict, out: str | None) -> None:
-    """Write an encoded body (see ``run_job``) as one canonical line."""
+def _emit(body: dict, out: str | None, code: int) -> int:
+    """Write an encoded body (see ``run_job``) as one canonical line and
+    return ``code``; if ``out`` cannot be written, print that domain error
+    to stdout instead and return its code."""
     text = serial.dumps(body) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:
+            error = DomainError(f"cannot write {out!r}: {exc}")
+            text, code = serial.dumps(_error_body(error)) + "\n", _exit_code(error)
+    sys.stdout.write(text)
+    return code
 
 
 _COMMANDS = (*_HANDLERS, "run")
@@ -478,8 +458,7 @@ def _run_batch(path: str, out: str | None) -> int:
 
     outcomes = [run_one(job) for job in jobs]
     body = {"version": __version__, "reports": [b for b, _ in outcomes]}
-    _emit(body, out)
-    return max((c for _, c in outcomes), default=0)
+    return _emit(body, out, max((c for _, c in outcomes), default=0))
 
 
 def main(argv=None) -> int:
@@ -490,10 +469,8 @@ def main(argv=None) -> int:
         payload = serial.load_json(_read_payload(args.input))
         report = run_job(Job(args.command, serial.expect_dict(payload, "input")))
     except TatekitError as exc:
-        _emit(_error_body(exc), args.out)
-        return _exit_code(exc)
-    _emit(report, args.out)
-    return 0
+        return _emit(_error_body(exc), args.out, _exit_code(exc))
+    return _emit(report, args.out, 0)
 
 
 if __name__ == "__main__":

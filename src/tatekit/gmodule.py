@@ -149,14 +149,12 @@ def _close(group: FiniteGroup, gens) -> set[int]:
 
 def finite_group(table) -> FiniteGroup:
     """Validate a multiplication table: closure, identity, inverses, associativity."""
-    table = tuple(tuple(int(x) for x in row) for row in table)
+    table = tuple(tuple(map(int, row)) for row in table)
     n = len(table)
     if any(len(row) != n for row in table):
         raise ValueError("multiplication table must be square")
-    for row in table:
-        for x in row:
-            if not 0 <= x < n:
-                raise ValueError("table entry out of range")
+    if any(min(row) < 0 or max(row) >= n for row in table):
+        raise ValueError("table entry out of range")
     identity = None
     for e in range(n):
         if all(table[e][x] == x and table[x][e] == x for x in range(n)):
@@ -170,13 +168,15 @@ def finite_group(table) -> FiniteGroup:
         if inv is None or table[inv][a] != identity:
             raise ValueError("missing inverse")
         inverses.append(inv)
-    for a in range(n):
-        for b in range(n):
-            tab = table[a][b]
-            for c in range(n):
-                if table[tab][c] != table[a][table[b][c]]:
-                    raise ValueError("multiplication table is not associative")
-    return FiniteGroup(n, table, identity, tuple(inverses))
+    group = FiniteGroup(n, table, identity, tuple(inverses))
+    # Light's test: the g with (x*g)*y == x*(g*y) for all x, y are closed
+    # under products, so checking a generating set checks every element
+    for g in group.generating_set():
+        g_row = table[g]
+        for x_row in table:
+            if table[x_row[g]] != tuple(map(x_row.__getitem__, g_row)):
+                raise ValueError("multiplication table is not associative")
+    return group
 
 
 def cyclic(n: int) -> FiniteGroup:

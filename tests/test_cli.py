@@ -89,7 +89,6 @@ def test_snf_report_shape(tmp_path, capsys):
     assert len(body["input_digest"]) == 64
     assert body["result"]["diagonal"] == ["2", "4"]
     assert body["result"]["rank"] == "2"
-    assert body["trace"] == ["smith_normal_form"]
 
 
 def test_digest_ignores_formatting_and_int_spelling(tmp_path, capsys):
@@ -279,6 +278,28 @@ def test_parse_error_and_missing_file(tmp_path, capsys):
     assert code == 1 and body["error"]["code"] == "PARSE_ERROR"
     code, body, _ = run_cli(capsys, ["snf", str(tmp_path / "absent.json")])
     assert code == 1 and body["error"]["code"] == "DOMAIN_ERROR"
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_an_unwritable_out_is_a_domain_error_on_stdout(tmp_path, batch):
+    # like an unreadable input: a clean error body, exit 1, no traceback
+    payload = {"matrix": [[2, 4], [6, 8]]}
+    if batch:
+        argv = ["run", "--batch", write(tmp_path, "b.json", {"jobs": [{"op": "snf", "input": payload}]})]
+    else:
+        argv = ["snf", write(tmp_path, "m.json", payload)]
+    out = str(tmp_path / "no" / "such" / "dir" / "o.json")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for target in (out, str(tmp_path)):  # a missing directory, and a directory
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "tatekit.cli", *argv, "--out", target],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        error = json.loads(proc.stdout)["error"]
+        assert error["code"] == "DOMAIN_ERROR"
+        assert error["message"].startswith(f"cannot write {target!r}: ")
 
 
 @pytest.mark.parametrize("perms", [[[0, 5, 1]], [[1, 0], [0, 2, 1]]])

@@ -78,6 +78,59 @@ def test_finite_group_rejects_bad_tables():
         finite_group([[0, 1, 2], [1, 1, 1], [2, 2, 2]])
 
 
+def _reduced_latin_squares(n: int) -> list:
+    """Every n x n Latin square whose first row and column are 0..n-1: the
+    tables of the loops on 0..n-1 with identity 0."""
+    squares = []
+
+    def extend(rows):
+        if len(rows) == n:
+            squares.append([list(r) for r in rows])
+            return
+        first = len(rows)
+        for rest in itertools.permutations([x for x in range(n) if x != first]):
+            row = (first, *rest)
+            if all(row[c] != r[c] for r in rows for c in range(n)):
+                extend(rows + [row])
+
+    extend([tuple(range(n))])
+    return squares
+
+
+def test_finite_group_checks_associativity_on_generators_exactly():
+    # the brute-force check of every triple is the oracle, on all 56 loops of
+    # order 5 and on two loops of order 6 with generators 1 and 2, of which
+    # one fails Light's test on 2 alone and the other on 1 alone
+    second_fails = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+                    [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+    first_fails = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
+                   [3, 5, 1, 4, 0, 2], [4, 3, 5, 0, 2, 1], [5, 2, 4, 1, 3, 0]]
+    loops = _reduced_latin_squares(5) + [second_fails, first_fails]
+    verdicts = []
+    for table in loops:
+        n = len(table)
+        inverses = all(any(table[a][b] == 0 == table[b][a] for b in range(n)) for a in range(n))
+        associative = all(
+            table[table[a][b]][c] == table[a][table[b][c]] for a, b, c in itertools.product(range(n), repeat=3)
+        )
+        if not inverses:
+            expected = "missing inverse"
+        elif not associative:
+            expected = "multiplication table is not associative"
+        else:
+            expected = None
+        try:
+            finite_group(table)
+            verdict = None
+        except ValueError as exc:
+            verdict = str(exc)
+        assert verdict == expected, table
+        verdicts.append(verdict)
+    assert len(loops) == 58
+    assert verdicts.count(None) == 6  # the labellings of Z5 with identity 0
+    assert verdicts.count("multiplication table is not associative") == 4
+
+
 def test_cyclic_structure():
     g = cyclic(6)
     assert g.order == 6

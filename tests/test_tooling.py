@@ -66,6 +66,41 @@ def test_every_traced_cache_is_lru_cached():
         assert callable(getattr(fn, "__wrapped__", None)), (mod_name, attr)
 
 
+def test_the_tracer_installs_resets_and_summarizes_a_traced_ops_mix_block(tmp_path):
+    # a traced benchmark run installs the tracer over a loaded CLI and resets
+    # it before each round; the table checks above run before install()
+    program = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(TRACER.parent)!r})\n"
+        f"work = {str(tmp_path)!r}\n"
+        "from tatekit import cli\n"
+        "import tracer, workloads\n"
+        f"recorded = json.loads(open({str(TRACER.with_name('recorded.json'))!r}).read())\n"
+        "block = workloads.make_jobs('ops-mix', 1, recorded)[:len(cli._HANDLERS)]\n"
+        "assert sorted(job['op'] for job in block) == sorted(cli._HANDLERS)\n"
+        "tr = tracer.Tracer()\n"
+        "tr.install()\n"
+        "tr.reset()\n"
+        "codes = []\n"
+        "for i, job in enumerate(block):\n"
+        "    src = f'{work}/{i}.json'\n"
+        "    with open(src, 'w') as fh:\n"
+        "        json.dump(job['input'], fh)\n"
+        "    tr.job = i\n"
+        "    codes.append(cli.main([job['op'], src, '--out', f'{work}/{i}.out.json']))\n"
+        "tr.absorb_caches()\n"
+        "summary = tr.summary()\n"
+        "tr.reset()\n"
+        "print(json.dumps([codes, summary['cli.main.calls']]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-B", "-c", program], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    codes, calls = json.loads(run.stdout)
+    assert codes == [0] * len(tatekit.cli._HANDLERS)
+    assert calls == len(codes)
+
+
 def test_the_benchmark_can_clear_the_parser_cache():
     # the benchmark clears every cache it finds before each job, so each job
     # builds its parser as a fresh process does; one it missed would stay warm
@@ -177,18 +212,47 @@ def _one_payload_per_op() -> dict:
 # the sha256 of the report of each ``_one_payload_per_op()`` job: a change to
 # any report's bytes must edit this table
 REPORT_DIGESTS = {
-    "counterexample-local": "31d30af9d2c70abf9b2a1a2f41744f2bc602d20ad71e3133e2f2f306784e0713",
-    "exponents": "19efc657499b5b6c160fa4e377bdd6104c804bed36f5c4a49b149b149b2cce27",
-    "quad-sub": "22d4db92b74ad14fc7aeb8415ee233c2c7b92453352c90a31ab861f2fe7f9899",
-    "sha1": "a35620c6a9971c5f59f6d6b16d354dd7cdcf6351f011f65881aaabcf55fc948e",
-    "snf": "4605206b89336c40f79a1d6e87df486e930e061f59254fc082573779619a788b",
-    "split-sim": "5649b3aedd91c6d001021dec2db718510e4acaad9f92dd7817a1fa566c13caad",
-    "subgroup-bound": "b059f48cee085c309f964bcbfbfe6cab1f1793249c5fc0106de4fe1dfe4056a4",
-    "tate": "f54232b36346e85115290a467de6f30c6cdb23ee5e00b2d091d87bc424a504b5",
-    "tate-obstruction": "9ace299192ea7d0a359d15bb9d055b1465c91b2783f9e45e4c04b3cafd2e9016",
-    "teichmuller": "304eaf87b4d15d64232e4455abe71bce9d05db02267f3550e1436c272e5063ca",
-    "transfer": "80f1fe55625a8ee05d6126e6e98315e5e7e771b365b61b3247d483e94066f2e1",
+    "counterexample-local": "80d6b073442ef2efafbec407814dc00d301f46bc8d984d9ec15f3fdcd5a6b714",
+    "exponents": "64888eeed7d7dab8cfcedfabffbc2452d730e03defc09e748a7ef553f487c820",
+    "quad-sub": "bb2eb57814793021c5ab5ec8b724f8b72775d2eb6f1fcbd90e2840c7b37d0e92",
+    "sha1": "02e27a887283da9ba797ae37733442874909d1312bd6e6edc59d9c328047e9bf",
+    "snf": "8ab7caf804938472c3f8fdcd7da6b24f54a4a523e21bddbe109a61eb99b1a462",
+    "split-sim": "02e5af888be724b32b793852975b0678005bec963c46c555ba298a38c40ab9c2",
+    "subgroup-bound": "e320d2720412b03791f45d3a186f50e7a621e18f925ad1c1a1541a4b98feebd1",
+    "tate": "f04ca05efad68245b91baa1fe445814ab1a99c4f2ad2c22a035478ac100042c6",
+    "tate-obstruction": "e9f67da99b158eef1646047d6a6a806da606b4b7b6a7c001243e4a4ef8104068",
+    "teichmuller": "ce2162b193d01d01e908eca988428d8ef5c8e33d996dceb48e6f2c66a76a6f64",
+    "transfer": "0fb4f1efab5783b44ff9f920c259c6a2c078b131cf06719a6081961dce81d3c7",
 }
+
+
+REPORT_KEYS = {"version", "op", "input_digest", "result"}
+
+
+def test_a_report_holds_the_version_op_input_digest_and_result_alone(tmp_path):
+    payloads = _one_payload_per_op()
+    reports = {}
+    for op, payload in payloads.items():
+        src, out = tmp_path / f"{op}.json", tmp_path / f"{op}.out.json"
+        src.write_text(json.dumps(payload))
+        assert tatekit.cli.main([op, str(src), "--out", str(out)]) == 0, out.read_text()
+        reports[op] = json.loads(out.read_text())
+        assert set(reports[op]) == REPORT_KEYS, op
+        assert reports[op]["op"] == op
+    for op, payload in [("snf", [1]), ("snf", {"matrix": "x"}), ("exponents", {"theta_order": 0})]:
+        src, out = tmp_path / "bad.json", tmp_path / "bad.out.json"
+        src.write_text(json.dumps(payload))
+        assert tatekit.cli.main([op, str(src), "--out", str(out)]) == 1
+        body = json.loads(out.read_text())
+        assert set(body) == {"error"} and set(body["error"]) == {"code", "message"}, body
+    batch, out = tmp_path / "batch.json", tmp_path / "batch.out.json"
+    batch.write_text(json.dumps({"jobs": [{"op": op, "input": payload} for op, payload in payloads.items()]}))
+    assert tatekit.cli.main(["run", "--batch", str(batch), "--out", str(out)]) == 0
+    body = json.loads(out.read_text())
+    assert set(body) == {"version", "reports"}
+    for report in body["reports"]:
+        assert set(report) == REPORT_KEYS
+    assert body["reports"] == list(reports.values())
 
 
 def test_every_ops_mix_snf_shape_is_within_the_snf_budget(monkeypatch):
