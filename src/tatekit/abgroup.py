@@ -251,13 +251,6 @@ class LatticeQuotient:
                 raise MembershipError("vector is not in the presented sublattice")
         return self.snf.u @ vecs
 
-    def _all_zero_classes(self, w: IntMatrix) -> bool:
-        """Whether every column of a ``_class_coords`` matrix is the zero class."""
-        rows = w.entries
-        return all(x % d == 0 for row, d in zip(rows, self._rel_factors) for x in row) and not any(
-            map(any, rows[self._rank_rel :])
-        )
-
     # -- class arithmetic ------------------------------------------------
 
     def project(self, vec) -> AbElement:
@@ -319,8 +312,7 @@ class InducedMap:
     Every map is verified when it is built, from W, the target class
     coordinates of the images of the source basis: a basis image outside
     P_tgt raises ``MembershipError``, and a relation image that is not a
-    zero class raises ``ValueError``.  W also answers ``kernel`` and
-    ``is_identity_on``.
+    zero class raises ``ValueError``.  W also answers ``kernel``.
     """
 
     def __init__(self, source: LatticeQuotient, target: LatticeQuotient, matrix: IntMatrix):
@@ -330,9 +322,11 @@ class InducedMap:
         self.target = target
         self.matrix = matrix
         self._w = target._class_coords(matrix @ source.basis)
-        # class coordinates are linear, so W @ rel_in_basis holds those of
-        # the relation images
-        if not target._all_zero_classes(self._w @ source.rel_in_basis):
+        # class coordinates are linear, so W @ rel_in_basis holds those of the
+        # relation images: each must be a multiple of its d_i, and 0 where free
+        rows = (self._w @ source.rel_in_basis).entries
+        torsion, free = zip(rows, target._rel_factors), rows[target._rank_rel :]
+        if any(x % d for row, d in torsion for x in row) or any(map(any, free)):
             raise ValueError("map does not send relations to relations")
 
     def __call__(self, x: AbElement) -> AbElement:
@@ -342,22 +336,6 @@ class InducedMap:
         """Kernel as a subquotient presented inside the source ambient space
         (see ``common_kernel``)."""
         return common_kernel(self.source, (self,))
-
-    def is_identity_on(self, quotient: LatticeQuotient) -> bool:
-        """True when source == target == quotient and the map fixes every generator.
-
-        The basis classes generate the group, and W holds their images, so
-        the map is the identity iff every column of W - u is a zero class.
-        """
-        if not (_same_presentation(self.source, quotient) and _same_presentation(self.target, quotient)):
-            return False
-        return self.target._all_zero_classes(self._w - self.target.snf.u)
-
-    @staticmethod
-    def compose(outer: "InducedMap", inner: "InducedMap") -> "InducedMap":
-        if not _same_presentation(outer.source, inner.target):
-            raise ValueError("maps do not compose")
-        return InducedMap(inner.source, outer.target, outer.matrix @ inner.matrix)
 
 
 def common_kernel(source: LatticeQuotient, maps) -> LatticeQuotient:

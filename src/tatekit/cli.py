@@ -344,11 +344,11 @@ def _exit_code(exc: TatekitError) -> int:
     return 2 if isinstance(exc, TheoremViolationError) else 1
 
 
-def _read_payload(path: str) -> str:
+def _read_payload(path: str) -> bytes:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read {path!r}: {exc}") from None

@@ -19,10 +19,11 @@ import itertools
 from functools import cached_property, lru_cache
 
 from .abgroup import AbElement, LatticeQuotient, cokernel
-from .errors import Frozen, SubgroupMismatchError
+from .errors import Frozen, SubgroupMismatchError, TooLargeError
 from .matrices import IntMatrix, block_diagonal, hnf_basis, kernel_basis
 
 __all__ = [
+    "MAX_PERMUTATION_GROUP_ORDER",
     "FiniteGroup",
     "Subgroup",
     "PermAction",
@@ -53,6 +54,10 @@ __all__ = [
     "transfer",
     "transfer_matrix",
 ]
+
+# the largest group accepted from permutations, S_6's: its closure and table
+# (quadratic in the order) take about 0.7 s on a 2-core Xeon
+MAX_PERMUTATION_GROUP_ORDER = 720
 
 
 class FiniteGroup(Frozen):
@@ -123,13 +128,14 @@ class FiniteGroup(Frozen):
         return frozenset(self.mul(self.mul(g, h), gi) for h in members)
 
 
-def _cayley_walk(start, gens, mul) -> tuple[list, dict, list]:
+def _cayley_walk(start, gens, mul, limit=None) -> tuple[list, dict, list]:
     """Breadth-first walk of the Cayley graph of ``gens`` from ``start``.
 
     Returns the vertices in the order reached; the tree edge {b: (a, i)},
     b = mul(a, gens[i]), that first reached each vertex but ``start``; and
     every other edge as (a, i, b).  Values carried along the tree edges
     build a table, and the other edges, which close the cycles, check it.
+    A walk that reaches more than ``limit`` vertices raises ``TooLargeError``.
     """
     order, tree, others = [start], {}, []
     for a in order:  # the list grows as it is read: a FIFO queue
@@ -140,6 +146,8 @@ def _cayley_walk(start, gens, mul) -> tuple[list, dict, list]:
             else:
                 tree[b] = (a, i)
                 order.append(b)
+                if limit is not None and len(order) > limit:
+                    raise TooLargeError(f"the group's order exceeds the supported bound {limit}")
     return order, tree, others
 
 
@@ -253,7 +261,8 @@ def from_permutations(perms) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     and the list of its elements as permutations, in index order.
 
     Composition of permutations is associative, so the table is built, not
-    validated: the identity is element 0, where the walk starts."""
+    validated: the identity is element 0, where the walk starts.  The walk
+    stops past ``MAX_PERMUTATION_GROUP_ORDER`` elements, before any table."""
     perms = [tuple(p) for p in perms]
     if not perms:
         raise ValueError("need at least one permutation")
@@ -267,7 +276,7 @@ def from_permutations(perms) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     def compose(p, q):
         return tuple(p[q[i]] for i in range(deg))
 
-    elements = _cayley_walk(ident, perms, compose)[0]
+    elements = _cayley_walk(ident, perms, compose, MAX_PERMUTATION_GROUP_ORDER)[0]
     index = {p: i for i, p in enumerate(elements)}
     table = tuple(tuple(index[compose(p, q)] for q in elements) for p in elements)
     inverses = tuple(index[tuple(sorted(ident, key=p.__getitem__))] for p in elements)

@@ -50,11 +50,14 @@ __all__ = [
 MAX_MODULE_RANK = 512
 
 
-def load_json(text: str) -> object:
+def load_json(data: bytes) -> object:
+    """The JSON value in ``data``, decoded as strict UTF-8 however it arrived."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("the payload nests too deeply to load") from None
     except ValueError:  # a number with more digits than int() converts (4300 by default)
         raise ParseError(
             "a JSON number exceeds the interpreter's integer conversion limit"
@@ -135,6 +138,8 @@ def load_group(obj, where: str = "group") -> FiniteGroup:
             return from_permutations(parsed)[0]
         except ValueError as exc:
             raise SchemaError(f"{where}.permutations: {exc}") from None
+        except TooLargeError as exc:
+            raise TooLargeError(f"{where}.permutations: {exc}") from None
     raise SchemaError(f"{where}: needs either mul_table or permutations")
 
 
@@ -272,4 +277,7 @@ def input_digest(value) -> str:
     """Digest of the canonicalized payload, insensitive to formatting."""
     import hashlib
 
-    return hashlib.sha256(canonical_dumps(value).encode()).hexdigest()
+    try:
+        return hashlib.sha256(canonical_dumps(value).encode()).hexdigest()
+    except RecursionError:
+        raise ParseError("the payload nests too deeply to digest") from None

@@ -594,10 +594,11 @@ def tate_obstruction(data: GlobalData, local_classes) -> GlobalClassResult:
 class PushforwardResult(Frozen):
     """Certificate for the comparison map between two levels of place data.
 
-    ``beta`` collapses each orbit of the intermediate subgroup to one place;
-    ``section`` is induced by any set-theoretic section and is independent of
-    the choice.  beta . section is always the identity; section . beta is the
-    identity exactly on the certified instances.
+    ``beta`` collapses each orbit of the intermediate subgroup to one place,
+    and ``section`` sends each place to its orbit's first point.  beta .
+    section is the identity, so beta is onto; then it is an isomorphism,
+    ``section_after_beta_id``, exactly when both sides have the same
+    invariant factors and free rank (Matsumura, Thm 2.4).
     """
 
     _fields = (
@@ -625,8 +626,8 @@ def lemma_pushforward(
 
     ``group_ek`` acts on the top place set; ``sub_ef`` is the normal subgroup
     fixing the intermediate field, which must act trivially on the lattice.
-    If every element of ``sub_ef`` fixes some place, both composites are
-    certified to be the identity and the collapse map is an isomorphism.
+    If every element of ``sub_ef`` fixes some place, the collapse is
+    certified an isomorphism by counting (see ``PushforwardResult``).
     When some element is fixed-point-free the comparison can fail and a
     HYPOTHESIS_FAIL error carries the violating element plus a kernel witness.
     """
@@ -674,8 +675,9 @@ def lemma_pushforward(
     beta = InducedMap(coinv_e, coinv_f, beta_deg0)
     section = InducedMap(coinv_f, coinv_e, sect_deg0)
 
-    bs_id = InducedMap.compose(beta, section).is_identity_on(coinv_f)
-    sb_id = InducedMap.compose(section, beta).is_identity_on(coinv_e)
+    # always the identity: orbit_of[orbit_reps[o]] == o, degree_zero_map is functorial
+    bs_id = (beta_deg0 @ sect_deg0).is_identity()
+    sb_id = bs_id and coinv_e.group == coinv_f.group
 
     fixed = tuple((h, action_e.fixed_point(h)) for h in sub_ef.members)
     hypothesis = all(pt is not None for _, pt in fixed)

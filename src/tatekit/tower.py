@@ -298,9 +298,9 @@ def simulate_splitting_tower(cfg: TowerConfig, alpha) -> SimulationReport:
     sum_i alpha_i * generators[i].  Only the place data of level s are built.
     The run certifies, in order: the cardinality scan stays in its window and
     repeats at some level s <= r; collapsing the orbits of the cyclic factor
-    and its section are mutually inverse on the full coinvariants
-    (:func:`lemma_pushforward`, whose hypothesis holds because the factor
-    fixes every auxiliary point); and the full transfer kills the
+    is an isomorphism on the full coinvariants, certified as onto with equal
+    invariants (:func:`lemma_pushforward`, whose hypothesis holds because the
+    factor fixes every auxiliary point); and the full transfer kills the
     transported class.  The gate e | n^(s-2), on the order e of the cyclic
     quotient that acts at level s, makes the action images at levels s-1 and
     s coincide, the middle transfer n and the full transfer n times the low

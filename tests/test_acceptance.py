@@ -6,12 +6,14 @@ independent oracles that appear inline (enumeration, brute-force subsets,
 direct iteration) and then frozen.
 """
 
+import collections
 import itertools
 import random
 import time
 
 import pytest
 
+from tatekit import tower
 from tatekit.errors import HypothesisFailError
 from tatekit.gmodule import (
     coinvariants,
@@ -61,7 +63,7 @@ from tatekit.tower import (
 from conftest import group_corpus
 from test_cli import klein_scenario, run_cli, write
 from test_sha import assert_the_forms_without_place_modules_match, klein_data, quarter_turn_data
-from test_tower import brute_force_subgroup_count
+from test_tower import LEVEL_CASES, alpha_corpus, brute_force_subgroup_count
 
 
 def quarter_turn():
@@ -235,11 +237,11 @@ def test_criterion_06_sweep_without_place_modules_gives_the_same_kernels():
     assert count == 378
 
 
-def test_criterion_07_collapse_iso_certified_and_counter_instance_fails():
+def _criterion_07_instances():
+    """100 random collapses on which the fixed-place hypothesis holds."""
     rng = random.Random(0xC0FE)
     groups = [g for g in group_corpus().values() if 2 <= g.order <= 8]
-    certified = 0
-    while certified < 100:
+    for _ in range(100):
         g = rng.choice(groups)
         normals = [h for h in enumerate_subgroups(g) if h.is_normal()]
         sub = rng.choice(normals)
@@ -249,15 +251,72 @@ def test_criterion_07_collapse_iso_certified_and_counter_instance_fails():
         module = pullback_module(rng.choice(quotient_modules), g, proj)
         # the subgroup fixes the base coset of any overgroup, so the
         # fixed-place hypothesis holds by construction
-        res = lemma_pushforward(g, sub, module, coset_action(g, over))
+        yield g, sub, module, coset_action(g, over)
+
+
+def test_criterion_07_collapse_iso_certified_and_counter_instance_fails():
+    certified = 0
+    for args in _criterion_07_instances():
+        res = lemma_pushforward(*args)
         assert res.hypothesis_holds
         assert res.iso_certified
         certified += 1
+    assert certified == 100
 
     with pytest.raises(HypothesisFailError) as exc:
         lemma_pushforward(*pushforward_counter_instance())
     assert exc.value.witness is not None and any(exc.value.witness)
     assert exc.value.kernel_group.invariant_factors == (2,)
+
+
+def _level_comparisons(corpus):
+    """The arguments of the level comparison of each tower in the tower tests."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return lemma_pushforward(*args)
+
+    cases = [(factory(), n) for factory, n in LEVEL_CASES] + list(alpha_corpus(corpus))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tower, "lemma_pushforward", spy)
+        for data, n in cases:
+            simulate_splitting_tower(default_tower_config(data, n), sha1_S(data).kernel.group.zero())
+    assert len(calls) == len(cases)
+    return calls
+
+
+def _all_collapses():
+    """Every collapse by a normal subgroup of a group of order <= 8, on the
+    cosets of every subgroup, with the trivial rank-1 module; most break the
+    fixed-place hypothesis."""
+    for g in (g for g in group_corpus().values() if g.order <= 8):
+        subgroups = enumerate_subgroups(g)
+        for sub in (h for h in subgroups if h.is_normal()):
+            for over in subgroups:
+                yield g, sub, trivial_module(g, 1), coset_action(g, over)
+
+
+def test_criterion_07_a_counted_isomorphism_has_a_trivial_kernel(corpus):
+    # lemma_pushforward certifies beta by counting: onto, with the invariants
+    # of its source and target equal.  Here beta's kernel, which
+    # common_kernel solves for from the map itself, is the second route.
+    instances = list(_criterion_07_instances()) + [pushforward_counter_instance()]
+    instances += _level_comparisons(corpus) + list(_all_collapses())
+    seen = collections.Counter()
+    for args in instances:
+        try:
+            res = lemma_pushforward(*args)
+        except HypothesisFailError as exc:
+            res = exc.result
+        except ValueError:  # the section is no map; the hypothesis rules this out
+            seen["no section"] += 1
+            continue
+        assert res.beta_after_section_id
+        assert res.iso_certified == res.beta.kernel().group.is_trivial, args
+        seen[res.hypothesis_holds, res.iso_certified] += 1
+    # without the hypothesis beta is still an isomorphism 17 times
+    assert seen == {(True, True): 326, (False, True): 17, (False, False): 295, "no section": 15}
 
 
 def test_criterion_08_two_place_gluing_exists_and_perturbation_obstructs():

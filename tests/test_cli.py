@@ -14,7 +14,7 @@ import pytest
 
 from tatekit import cli, serial
 from tatekit.errors import TheoremViolationError, TooLargeError, TransferNonzeroError
-from tatekit.gmodule import augmentation_kernel_module, cyclic, klein_four
+from tatekit.gmodule import MAX_PERMUTATION_GROUP_ORDER, augmentation_kernel_module, cyclic, klein_four
 from tatekit.local import DEFAULT_PRECISION, MAX_LIFT_BITS
 from tatekit.matrices import IntMatrix
 from tatekit.serial import MAX_MODULE_RANK
@@ -110,14 +110,24 @@ def test_reports_are_byte_deterministic(tmp_path, capsys):
     assert first.endswith("\n")
 
 
+def _stdin(data: bytes):
+    """Standard input as the interpreter opens it in UTF-8 mode."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def test_stdin_and_out_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO('{"theta_order": 4}'))
+    monkeypatch.setattr(sys, "stdin", _stdin(b'{"theta_order": 4}'))
     out = tmp_path / "report.json"
     code = cli.main(["exponents", "-", "--out", str(out)])
     assert code == 0
     assert capsys.readouterr().out == ""
     body = json.loads(out.read_text())
     assert body["result"] == {"theta_order": "4", "lam": "2", "rho": "49", "d": "52"}
+    # stdin is decoded as strictly as a file: a byte that is not UTF-8, even
+    # inside a string that no op reads, is a parse error
+    monkeypatch.setattr(sys, "stdin", _stdin(b'{"theta_order": 4, "note": "\xff"}'))
+    code, body, err = run_cli(capsys, ["exponents", "-"])
+    assert code == 1 and body["error"]["code"] == "PARSE_ERROR" and err == ""
 
 
 def test_tate_and_transfer_ops(tmp_path, capsys):
@@ -273,9 +283,12 @@ def test_schema_error_exits_one(tmp_path, capsys):
 
 def test_parse_error_and_missing_file(tmp_path, capsys):
     broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    code, body, _ = run_cli(capsys, ["snf", str(broken)])
-    assert code == 1 and body["error"]["code"] == "PARSE_ERROR"
+    # not JSON; a UTF-16 byte order mark; a byte that is not UTF-8 in a string
+    for data in (b"{not json", b"\xff\xfe{}", b'{"matrix": [[1]], "note": "\xff"}'):
+        broken.write_bytes(data)
+        for argv in (["snf", str(broken)], ["run", "--batch", str(broken)]):
+            code, body, err = run_cli(capsys, argv)
+            assert code == 1 and body["error"]["code"] == "PARSE_ERROR" and err == "", (data, argv)
     code, body, _ = run_cli(capsys, ["snf", str(tmp_path / "absent.json")])
     assert code == 1 and body["error"]["code"] == "DOMAIN_ERROR"
 
@@ -318,6 +331,25 @@ def test_a_permutation_payload_that_is_no_permutation_is_a_schema_error(tmp_path
     bad, good = body["reports"]
     assert code == 1 and bad["error"]["code"] == "SCHEMA_ERROR"
     assert good["result"]["subgroup_count"] == "2"
+
+
+def _symmetric_group(n):
+    """S_n on a transposition and an n-cycle."""
+    return {"permutations": [[1, 0, *range(2, n)], [*range(1, n), 0]]}
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_a_permutation_group_past_the_order_bound_is_refused_at_once(tmp_path, capsys, n):
+    for op, payload in (("subgroup-bound", {}), ("tate", {"module": {"rank": 1}})):
+        path = write(tmp_path, "g.json", {"group": _symmetric_group(n), **payload})
+        started = time.perf_counter()
+        code, body, err = run_cli(capsys, [op, path])
+        assert time.perf_counter() - started < 0.25
+        assert code == 1 and err == ""
+        assert body["error"] == {
+            "code": "TOO_LARGE",
+            "message": f"input.group.permutations: the group's order exceeds the supported bound {MAX_PERMUTATION_GROUP_ORDER}",
+        }
 
 
 def klein_tower(alpha):
@@ -686,6 +718,39 @@ def test_json_number_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
     code, body, _ = run_cli(capsys, ["exponents", str(path)])
     assert code == 1
     assert body["error"]["code"] == "PARSE_ERROR"
+
+
+def _nested(depth: int) -> str:
+    """An exponents payload with an unread key nested ``depth`` arrays deep."""
+    return '{"theta_order": 4, "x": %s}' % ("[" * depth + "]" * depth)
+
+
+@pytest.mark.parametrize("depth", [2_000, 100_000])
+def test_a_payload_too_deep_to_load_is_a_parse_error(tmp_path, capsys, depth):
+    path = tmp_path / "deep.json"
+    for text in (_nested(depth), '{"jobs": [{"op": "exponents", "input": %s}]}' % _nested(depth)):
+        path.write_text(text)
+        for argv in (["exponents", str(path)], ["run", "--batch", str(path)]):
+            code, body, err = run_cli(capsys, argv)
+            assert code == 1 and err == ""
+            assert body["error"] == {"code": "PARSE_ERROR", "message": "the payload nests too deeply to load"}
+
+
+def test_a_payload_too_deep_to_digest_fails_its_job_alone(tmp_path, capsys):
+    # deep enough for serial.encode, whose recursion takes two Python frames
+    # a level, but not for json.loads, which takes one
+    path = tmp_path / "deep.json"
+    path.write_text(_nested(800))
+    code, body, err = run_cli(capsys, ["exponents", str(path)])
+    assert code == 1 and err == ""
+    assert body["error"] == {"code": "PARSE_ERROR", "message": "the payload nests too deeply to digest"}
+    path.write_text('{"jobs": [%s, {"op": "exponents", "input": {"theta_order": 4}}]}'
+                    % ('{"op": "exponents", "input": %s}' % _nested(800)))
+    code, body, err = run_cli(capsys, ["run", "--batch", str(path)])
+    deep, plain = body["reports"]
+    assert code == 1 and err == ""
+    assert deep == {"op": "exponents", "error": {"code": "PARSE_ERROR", "message": "the payload nests too deeply to digest"}}
+    assert plain["result"]["rho"] == "49"
 
 
 def test_batch_keeps_its_reports_beside_an_oversized_integer(tmp_path, capsys):

@@ -8,8 +8,9 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from tatekit import gmodule
 from tatekit.abgroup import INFINITE, InducedMap, LatticeQuotient, cokernel, element_order
-from tatekit.errors import SubgroupMismatchError
+from tatekit.errors import SubgroupMismatchError, TooLargeError
 from tatekit.gmodule import (
     _cayley_walk,
     _multiply_out,
@@ -172,6 +173,14 @@ def test_permutation_groups_equal_their_validated_tables():
         assert g == finite_group(g.table)
         for a, b in itertools.product(g.elements(), repeat=2):
             assert perms[g.mul(a, b)] == tuple(perms[a][x] for x in perms[b])
+
+
+def test_from_permutations_stops_the_closure_past_the_order_bound(monkeypatch):
+    s4 = [(1, 2, 3, 0, 4, 5), (1, 0, 2, 3, 4, 5)]
+    monkeypatch.setattr(gmodule, "MAX_PERMUTATION_GROUP_ORDER", 24)
+    assert from_permutations(s4)[0].order == 24  # at the bound
+    with pytest.raises(TooLargeError, match="exceeds the supported bound 24$"):
+        from_permutations(s4 + [(0, 1, 2, 3, 5, 4)])  # S_4 x Z/2, order 48
 
 
 @pytest.mark.parametrize(

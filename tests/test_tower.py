@@ -344,17 +344,17 @@ def _trivial_and_full_data(g) -> GlobalData:
     return GlobalData(g, augmentation_kernel_module(g), places)
 
 
-@pytest.mark.parametrize(
-    "data_factory,n",
-    [
-        (klein_data, 2),
-        (klein_data, 4),
-        (quarter_turn_data, 1),
-        (lambda: _trivial_and_full_data(cyclic(2)), 2),
-        (lambda: _trivial_and_full_data(cyclic(3)), 3),
-        (lambda: _trivial_and_full_data(klein_four()), 4),
-    ],
-)
+LEVEL_CASES = [
+    (klein_data, 2),
+    (klein_data, 4),
+    (quarter_turn_data, 1),
+    (lambda: _trivial_and_full_data(cyclic(2)), 2),
+    (lambda: _trivial_and_full_data(cyclic(3)), 3),
+    (lambda: _trivial_and_full_data(klein_four()), 4),
+]
+
+
+@pytest.mark.parametrize("data_factory,n", LEVEL_CASES)
 def test_the_pushforward_orbits_are_the_base_places_in_order(data_factory, n):
     cfg = default_tower_config(data_factory(), n)
     e = simulate_splitting_tower(cfg, sha1_S(cfg.data).kernel.group.zero()).effective_exponent
@@ -378,7 +378,7 @@ def test_the_pushforward_orbits_are_the_base_places_in_order(data_factory, n):
     assert mutant != (section, collapse)
 
 
-def _alpha_corpus(corpus):
+def alpha_corpus(corpus):
     """Klein, and every group of order <= 8 with the trivial rank-1 module (the
     augmentation kernel up to order 4) and one or two places from {1, <g1>,
     Theta}, as (data, n) with n the exponent of a nontrivial kernel."""
@@ -401,7 +401,7 @@ def test_alpha_names_the_generators_the_sha1_op_prints(corpus):
     # level_1 class is computed here on the dense route: M[S]_0 of the base
     # level plus the auxiliary orbit, and the section built point by point
     count = 0
-    for data, n in _alpha_corpus(corpus):
+    for data, n in alpha_corpus(corpus):
         cfg = default_tower_config(data, n)
         gens = sha.sha1_forms(data)[1].generators
         eye = IntMatrix.identity(data.module.rank)
@@ -487,7 +487,7 @@ def test_the_one_transfer_is_the_low_mid_and_full_transfers(corpus):
     # here the low, middle and full transfers of the tower are summed term by
     # term and the classes are read through them
     count = 0
-    for data, n0 in _alpha_corpus(corpus):
+    for data, n0 in alpha_corpus(corpus):
         gens = sha.sha1_forms(data)[1].generators
         for n in (n0, 2 * n0, 3 * n0):
             cfg = default_tower_config(data, n)
